@@ -41,7 +41,6 @@ from .quantum_measures import (
     spectrum_closed,
     spectrum_general,
 )
-from .cli import RunConfig
 from .special_functions import dawson, erfi
 from .sweep_engine import (
     CSV_HEADER,
@@ -73,7 +72,6 @@ __all__ = [
     "ModelParams",
     "PairGeometry",
     "QuadratureError",
-    "RunConfig",
     "Spectrum4",
     "SweepError",
     "SweepRow",

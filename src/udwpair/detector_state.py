@@ -27,9 +27,11 @@ factor exp(+-2i x) inside f_(jklm) carries the commutator scalar kappa.
 import cmath
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
+from ._checks import Faults, validate
 from .field_correlators import CorrelatorSet, DetectorParams
 
 __all__ = [
@@ -58,9 +60,10 @@ class InitialState:
 
     theta: float
 
+    _checks: ClassVar = (("theta", "lie in [0, pi/2]"),)
+
     def __post_init__(self):
-        if not (math.isfinite(self.theta) and 0.0 <= self.theta <= math.pi / 2.0):
-            raise ValueError(f"InitialState.theta must lie in [0, pi/2], got {self.theta!r}")
+        validate(self)
 
 
 @dataclass(frozen=True)
@@ -76,6 +79,42 @@ class FSignature:
         for name in ("j", "k", "l", "m"):
             if getattr(self, name) not in (1, -1):
                 raise ValueError(f"FSignature.{name} must be +1 or -1, got {getattr(self, name)!r}")
+
+
+def _modulus(z):
+    # libm hypot, as abs() of a Python complex; numpy's complex absolute
+    # loop can differ from it in the last bit
+    return np.hypot(np.real(z), np.imag(z))
+
+
+def _state_faults(faults, rho11, rho22, rho33, rho44, rho14, rho23):
+    """Record, elementwise and in order, the invariant checks of an X state:
+    trace, population signs, then each 2x2 block's positivity.  Returns the
+    four populations with dust below zero clamped to 0."""
+    dev = rho11 + rho22 + rho33 + rho44 - 1.0
+    faults.add(abs(dev) > _RAISE_TOL, AssemblyError, "trace deviates from 1 by {:.3e}", dev)
+    diags = []
+    for name, v in zip(("rho11", "rho22", "rho33", "rho44"), (rho11, rho22, rho33, rho44)):
+        faults.add(v < -_RAISE_TOL, AssemblyError, "population {} is negative: {:.3e}", name, v)
+        diags.append(np.maximum(0.0, v))  # dust within tolerance; keeps -0.0 and nan
+    for name, d1, d2, off in (
+        ("outer", diags[0], diags[3], rho14),
+        ("inner", diags[1], diags[2], rho23),
+    ):
+        mod = _modulus(off)
+        excess = mod * mod - d1 * d2
+        faults.add(
+            excess > _RAISE_TOL,
+            AssemblyError,
+            "{} block violates |off-diagonal|^2 <= product of populations by {:.3e}",
+            name,
+            excess,
+        )
+        low_eig = 0.5 * (d1 + d2) - np.hypot(0.5 * (d1 - d2), mod)
+        faults.add(
+            low_eig < -_RAISE_TOL, AssemblyError, "{} block eigenvalue is negative: {:.3e}", name, low_eig
+        )
+    return diags
 
 
 @dataclass(frozen=True)
@@ -97,32 +136,13 @@ class XDensityMatrix:
 
     @classmethod
     def from_elements(cls, rho11, rho22, rho33, rho44, rho14, rho23):
-        diags = [float(rho11), float(rho22), float(rho33), float(rho44)]
-        trace = math.fsum(diags)
-        if abs(trace - 1.0) > _RAISE_TOL:
-            raise AssemblyError(f"trace deviates from 1 by {trace - 1.0:.3e}")
-        names = ("rho11", "rho22", "rho33", "rho44")
-        for i, (name, v) in enumerate(zip(names, diags)):
-            if v < -_RAISE_TOL:
-                raise AssemblyError(f"population {name} is negative: {v:.3e}")
-            if v < 0.0:
-                diags[i] = 0.0  # dust within tolerance
+        pops = (float(rho11), float(rho22), float(rho33), float(rho44))
         rho14 = complex(rho14)
         rho23 = complex(rho23)
-        for name, d1, d2, off in (
-            ("outer", diags[0], diags[3], rho14),
-            ("inner", diags[1], diags[2], rho23),
-        ):
-            excess = abs(off) ** 2 - d1 * d2
-            if excess > _RAISE_TOL:
-                raise AssemblyError(
-                    f"{name} block violates |off-diagonal|^2 <= product of populations "
-                    f"by {excess:.3e}"
-                )
-            low_eig = 0.5 * (d1 + d2) - math.hypot(0.5 * (d1 - d2), abs(off))
-            if low_eig < -_RAISE_TOL:
-                raise AssemblyError(f"{name} block eigenvalue is negative: {low_eig:.3e}")
-        return cls(diags[0], diags[1], diags[2], diags[3], rho14, rho23)
+        faults = Faults()
+        diags = _state_faults(faults, *pops, rho14, rho23)
+        faults.raise_first()
+        return cls(*(float(d) for d in diags), rho14, rho23)
 
     def diagonals(self):
         return (self.rho11, self.rho22, self.rho33, self.rho44)
@@ -164,6 +184,36 @@ def f_jklm(sig: FSignature, c: CorrelatorSet) -> complex:
     return (const + a_part + b_part + ab_part) / 16.0
 
 
+def _assemble(theta, fa, fb, kappa, omega, gamma, delta):
+    """(rho11, rho22, rho33, rho44, rho14, rho23) from the compact
+    per-element closed forms, elementwise over arrays."""
+    c2 = np.cos(2.0 * theta)
+    cs = np.cos(theta) * np.sin(theta)
+    sym = fa * fb * np.cosh(omega)        # even combination, feeds all populations
+    sh = np.sinh(omega)
+    c2k = np.cos(2.0 * kappa)
+    s2k = np.sin(2.0 * kappa)
+    cg = np.cos(gamma)
+    sg = np.sin(gamma)
+
+    even = c2 * (fa + fb * c2k)
+    odd = c2 * (fa - fb * c2k)
+    cross_m = fb * (fa * sh * cg - s2k * sg)
+    cross_p = fb * (fa * sh * cg + s2k * sg)
+
+    r11 = 0.25 * (1.0 + sym + even) + 0.5 * cs * cross_m
+    r22 = 0.25 * (1.0 - sym + odd) - 0.5 * cs * cross_m
+    r33 = 0.25 * (1.0 - sym - odd) - 0.5 * cs * cross_p
+    r44 = 0.25 * (1.0 + sym - even) + 0.5 * cs * cross_p
+
+    core = 0.25 * fb * (fa * sh + 1j * (c2 * s2k))
+    b14 = core + 0.5 * cs * ((1.0 + sym) * cg + 1j * ((fa + fb * c2k) * sg))
+    b23 = -core + 0.5 * cs * ((1.0 - sym) * cg + 1j * ((fa - fb * c2k) * sg))
+    r14 = np.exp(-1j * gamma) * b14
+    r23 = np.exp(-1j * delta) * b23
+    return r11, r22, r33, r44, r14, r23
+
+
 def assemble_main(
     s: InitialState, c: CorrelatorSet, *, delta: float | None = None
 ) -> XDensityMatrix:
@@ -176,33 +226,8 @@ def assemble_main(
     """
     if delta is None:
         delta = -c.gamma
-    th = s.theta
-    c2 = math.cos(2.0 * th)
-    cs = math.cos(th) * math.sin(th)
-    fa, fb = c.f_a, c.f_b
-    sym = fa * fb * math.cosh(c.omega)        # even combination, feeds all populations
-    sh = math.sinh(c.omega)
-    c2k = math.cos(2.0 * c.kappa)
-    s2k = math.sin(2.0 * c.kappa)
-    cg = math.cos(c.gamma)
-    sg = math.sin(c.gamma)
-
-    even = c2 * (fa + fb * c2k)
-    odd = c2 * (fa - fb * c2k)
-    cross_m = fb * (fa * sh * cg - s2k * sg)
-    cross_p = fb * (fa * sh * cg + s2k * sg)
-
-    r11 = 0.25 * (1.0 + sym + even) + 0.5 * cs * cross_m
-    r22 = 0.25 * (1.0 - sym + odd) - 0.5 * cs * cross_m
-    r33 = 0.25 * (1.0 - sym - odd) - 0.5 * cs * cross_p
-    r44 = 0.25 * (1.0 + sym - even) + 0.5 * cs * cross_p
-
-    core = 0.25 * fb * complex(fa * sh, c2 * s2k)
-    b14 = core + 0.5 * cs * complex((1.0 + sym) * cg, (fa + fb * c2k) * sg)
-    b23 = -core + 0.5 * cs * complex((1.0 - sym) * cg, (fa - fb * c2k) * sg)
-    r14 = cmath.exp(-1j * c.gamma) * b14
-    r23 = cmath.exp(-1j * delta) * b23
-    return XDensityMatrix.from_elements(r11, r22, r33, r44, r14, r23)
+    elements = _assemble(s.theta, c.f_a, c.f_b, c.kappa, c.omega, c.gamma, delta)
+    return XDensityMatrix.from_elements(*elements)
 
 
 def _moment_table(c):

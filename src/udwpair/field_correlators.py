@@ -16,7 +16,9 @@ field, the joint detector state is fixed by five scalars:
 
 Everything is computed two independent ways: closed forms built on the
 Dawson function, and a radial momentum-space quadrature oracle.  The test
-suite holds the two routes against each other to 1e-6 relative.
+suite holds the two routes against each other to 1e-6 relative.  The
+closed forms run elementwise over numpy arrays (the sweeps evaluate whole
+grids at once); the public functions evaluate one detector pair.
 
 Conventions: the smearing profile F(x) = (sqrt(pi) sigma)^(-3) exp(-x^2/sigma^2)
 transforms to F~(k) = (2 pi)^(-3/2) exp(-sigma^2 k^2 / 4) (symmetric Fourier
@@ -25,10 +27,12 @@ convention), which is what pins f_j = exp(-lambda_j^2 eta_j^2 / (2 pi^2 sigma^2)
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
-from scipy.integrate import quad
+import numpy as np
 
-from .special_functions import dawson
+from ._checks import validate
+from .special_functions import _dawson
 
 __all__ = [
     "DetectorParams",
@@ -61,11 +65,6 @@ class QuadratureError(RuntimeError):
     """The adaptive quadrature could not certify the requested accuracy."""
 
 
-def _require_finite(obj, name, value):
-    if not math.isfinite(value):
-        raise ValueError(f"{obj}.{name} must be finite, got {value!r}")
-
-
 @dataclass(frozen=True)
 class DetectorParams:
     """One detector: coupling, switching weight, energy gap, switch time.
@@ -80,17 +79,18 @@ class DetectorParams:
     energy_gap: float = 0.0
     switch_time: float = 0.0
 
+    _checks: ClassVar = (
+        ("coupling", "be finite"),
+        ("switching_weight", "be finite"),
+        ("energy_gap", "be finite"),
+        ("switch_time", "be finite"),
+        ("coupling", "be >= 0"),
+        ("switching_weight", "be > 0"),
+        ("energy_gap", "be >= 0"),
+    )
+
     def __post_init__(self):
-        for name in ("coupling", "switching_weight", "energy_gap", "switch_time"):
-            _require_finite("DetectorParams", name, getattr(self, name))
-        if self.coupling < 0.0:
-            raise ValueError(f"DetectorParams.coupling must be >= 0, got {self.coupling!r}")
-        if self.switching_weight <= 0.0:
-            raise ValueError(
-                f"DetectorParams.switching_weight must be > 0, got {self.switching_weight!r}"
-            )
-        if self.energy_gap < 0.0:
-            raise ValueError(f"DetectorParams.energy_gap must be >= 0, got {self.energy_gap!r}")
+        validate(self)
 
 
 @dataclass(frozen=True)
@@ -103,15 +103,16 @@ class PairGeometry:
     delay: float
     smearing_width: float = 1.0
 
+    _checks: ClassVar = (
+        ("separation", "be finite"),
+        ("delay", "be finite"),
+        ("smearing_width", "be finite"),
+        ("separation", "be >= 0"),
+        ("smearing_width", "be > 0"),
+    )
+
     def __post_init__(self):
-        for name in ("separation", "delay", "smearing_width"):
-            _require_finite("PairGeometry", name, getattr(self, name))
-        if self.separation < 0.0:
-            raise ValueError(f"PairGeometry.separation must be >= 0, got {self.separation!r}")
-        if self.smearing_width <= 0.0:
-            raise ValueError(
-                f"PairGeometry.smearing_width must be > 0, got {self.smearing_width!r}"
-            )
+        validate(self)
 
 
 @dataclass(frozen=True)
@@ -124,13 +125,18 @@ class CorrelatorSet:
     omega: float
     gamma: float
 
+    _checks: ClassVar = (
+        ("f_a", "be finite"),
+        ("f_b", "be finite"),
+        ("kappa", "be finite"),
+        ("omega", "be finite"),
+        ("gamma", "be finite"),
+        ("f_a", "lie in (0, 1]"),
+        ("f_b", "lie in (0, 1]"),
+    )
+
     def __post_init__(self):
-        for name in ("f_a", "f_b", "kappa", "omega", "gamma"):
-            _require_finite("CorrelatorSet", name, getattr(self, name))
-        for name in ("f_a", "f_b"):
-            v = getattr(self, name)
-            if not 0.0 < v <= 1.0:
-                raise ValueError(f"CorrelatorSet.{name} must lie in (0, 1], got {v!r}")
+        validate(self)
 
 
 def _check_sigma(sigma):
@@ -149,14 +155,18 @@ def _check_delay_consistency(a, b, g):
         )
 
 
+def _decay(le):
+    # le = coupling * switching_weight / sigma
+    return np.exp(-le * le / (2.0 * _PI2))
+
+
 def decay_factor(d: DetectorParams, sigma: float) -> float:
     """Per-detector decay factor exp(-lambda^2 eta^2 / (2 pi^2 sigma^2)).
 
     Always in (0, 1]; equals 1 exactly at zero coupling.
     """
     _check_sigma(sigma)
-    le = d.coupling * d.switching_weight / sigma
-    return math.exp(-le * le / (2.0 * _PI2))
+    return float(_decay(d.coupling * d.switching_weight / sigma))
 
 
 def _coupling_product(a, b):
@@ -167,13 +177,13 @@ def _kappa_direct(cprod, sep, delay, sigma):
     pref = cprod / (4.0 * _PI2 * sep * sigma) * math.sqrt(math.pi / 2.0)
     plus = (delay + sep) / sigma
     minus = (delay - sep) / sigma
-    return pref * (math.exp(-0.5 * plus * plus) - math.exp(-0.5 * minus * minus))
+    return pref * (np.exp(-0.5 * plus * plus) - np.exp(-0.5 * minus * minus))
 
 
 def _kappa_small_l(cprod, sep, delay, sigma):
     # numerator N(L) = exp(-(dt+L)^2/2s^2) - exp(-(dt-L)^2/2s^2) is odd in L;
     # N/L = N'(0) + N'''(0) L^2/6 + O(L^4) keeps the branch seam below 1e-12
-    gauss = math.exp(-0.5 * (delay / sigma) ** 2)
+    gauss = np.exp(-0.5 * (delay / sigma) ** 2)
     s2 = sigma * sigma
     n1 = -2.0 * (delay / s2) * gauss
     n3 = 2.0 * (3.0 * delay / (s2 * s2) - delay**3 / (s2 * s2 * s2)) * gauss
@@ -189,17 +199,13 @@ def commutator_kappa(a: DetectorParams, b: DetectorParams, g: PairGeometry) -> f
     part ways.  Below separation = 1e-4 sigma the vanishing-numerator /
     vanishing-denominator closed form is replaced by its series limit.
     """
-    cprod = _coupling_product(a, b)
-    sep, delay, sigma = g.separation, g.delay, g.smearing_width
-    if sep < _SMALL_L_FRACTION * sigma:
-        return _kappa_small_l(cprod, sep, delay, sigma)
-    return _kappa_direct(cprod, sep, delay, sigma)
+    return float(_kappa(_coupling_product(a, b), g.separation, g.delay, g.smearing_width))
 
 
 def _omega_direct(cprod, sep, delay, sigma):
     rt2s = math.sqrt(2.0) * sigma
-    diff = dawson((delay + sep) / rt2s) - dawson((delay - sep) / rt2s)
-    return -cprod / (math.sqrt(2.0) * _PI2 * sep * sigma) * diff
+    d = _dawson(np.stack(((delay + sep) / rt2s, (delay - sep) / rt2s)))
+    return -cprod / (math.sqrt(2.0) * _PI2 * sep * sigma) * (d[0] - d[1])
 
 
 def _omega_small_l(cprod, sep, delay, sigma):
@@ -208,10 +214,42 @@ def _omega_small_l(cprod, sep, delay, sigma):
     #   D'''(x) = (12 x - 8 x^3) D(x) + 4 x^2 - 4
     u = delay / (math.sqrt(2.0) * sigma)
     h = sep / (math.sqrt(2.0) * sigma)
-    d = dawson(u)
+    d = _dawson(u)
     d1 = 1.0 - 2.0 * u * d
     d3 = (12.0 * u - 8.0 * u**3) * d + 4.0 * u * u - 4.0
     return -cprod / (_PI2 * sigma * sigma) * (d1 + d3 * h * h / 6.0)
+
+
+def _near_or_far(near, far, cprod, sep, delay, sigma):
+    # Below separation = 1e-4 sigma the direct form divides a vanishing
+    # numerator by L (0/0 at coincidence); the series limit replaces it there.
+    sep = np.asarray(sep, dtype=float)
+    small = sep < _SMALL_L_FRACTION * sigma
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = far(cprod, sep, delay, sigma)
+    if small.any():
+        out = np.where(small, near(cprod, sep, delay, sigma), out)
+    return out
+
+
+def _kappa(cprod, sep, delay, sigma):
+    return _near_or_far(_kappa_small_l, _kappa_direct, cprod, sep, delay, sigma)
+
+
+def _omega(cprod, sep, delay, sigma):
+    return _near_or_far(_omega_small_l, _omega_direct, cprod, sep, delay, sigma)
+
+
+def _correlators(lam_a, eta_a, lam_b, eta_b, sep, delay, sigma):
+    """(f_a, f_b, kappa, omega) elementwise over arrays: the kernel behind
+    the closed-form scalar functions."""
+    cprod = lam_a * lam_b * eta_a * eta_b
+    return (
+        _decay(lam_a * eta_a / sigma),
+        _decay(lam_b * eta_b / sigma),
+        _kappa(cprod, sep, delay, sigma),
+        _omega(cprod, sep, delay, sigma),
+    )
 
 
 def anticommutator_omega(a: DetectorParams, b: DetectorParams, g: PairGeometry) -> float:
@@ -221,11 +259,7 @@ def anticommutator_omega(a: DetectorParams, b: DetectorParams, g: PairGeometry) 
     1/(separation^2 - delay^2) at large separation, because the two Dawson
     tails add rather than cancel.
     """
-    cprod = _coupling_product(a, b)
-    sep, delay, sigma = g.separation, g.delay, g.smearing_width
-    if sep < _SMALL_L_FRACTION * sigma:
-        return _omega_small_l(cprod, sep, delay, sigma)
-    return _omega_direct(cprod, sep, delay, sigma)
+    return float(_omega(_coupling_product(a, b), g.separation, g.delay, g.smearing_width))
 
 
 def phase_gamma(a: DetectorParams, b: DetectorParams) -> float:
@@ -238,14 +272,16 @@ def closed_form_correlators(
 ) -> CorrelatorSet:
     """All five scalars via the closed forms."""
     _check_delay_consistency(a, b, g)
-    s = g.smearing_width
-    return CorrelatorSet(
-        f_a=decay_factor(a, s),
-        f_b=decay_factor(b, s),
-        kappa=commutator_kappa(a, b, g),
-        omega=anticommutator_omega(a, b, g),
-        gamma=phase_gamma(a, b),
+    values = _correlators(
+        a.coupling,
+        a.switching_weight,
+        b.coupling,
+        b.switching_weight,
+        g.separation,
+        g.delay,
+        g.smearing_width,
     )
+    return CorrelatorSet(*(float(v) for v in values), phase_gamma(a, b))
 
 
 def _sinc(x):
@@ -269,6 +305,8 @@ def _oscillation_breakpoints(sep, delay, kmax):
 
 
 def _radial_quad(integrand, kmax, breakpoints, what):
+    from scipy.integrate import quad  # oracle only, so importing udwpair needs no scipy
+
     res = quad(
         integrand,
         0.0,

@@ -1,15 +1,16 @@
 """Correlation measures on the X-structured two-detector state.
 
 The X shape decouples the 4x4 spectrum into two 2x2 blocks (inner: rows
-2,3; outer: rows 1,4), so everything here has both a closed form tied to
-that structure and a generic matrix route.  The pairs
+2,3; outer: rows 1,4), and the partial transpose into two more, so every
+measure has a closed form tied to that structure.  Those runtime forms run
+elementwise over numpy arrays (the public functions are views of one
+state): coherence_l1, spectrum_general, coherence_rec and the two-block
+negativity reported by measure_set.  Independent routes are kept beside
+them on purpose, as oracles that the tests and verify drive against them:
 
 * spectrum_closed   vs spectrum_general
-* negativity_closed vs negativity_full
-
-are kept as independent implementations on purpose: the tests drive both
-and demand agreement, which guards each against transcription slips in
-the other.
+* negativity_full   (dense partial transpose) vs the two-block negativity
+* negativity_closed (the block holding rho14 only) vs negativity_full
 
 Conventions: coherence_rec is in bits (log base 2); negativity is the
 absolute sum of negative partial-transpose eigenvalues (transpose taken
@@ -22,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector_state import XDensityMatrix
+from ._checks import Faults
+from .detector_state import XDensityMatrix, _modulus
 
 __all__ = [
     "MeasureSet",
@@ -67,7 +69,7 @@ class MeasureSet:
 
 def coherence_l1(m: XDensityMatrix) -> float:
     """Sum of the moduli of all off-diagonal entries: 2|rho14| + 2|rho23|."""
-    return 2.0 * abs(m.rho14) + 2.0 * abs(m.rho23)
+    return float(_l1(_modulus(m.rho14), _modulus(m.rho23)))
 
 
 def spectrum_closed(m: XDensityMatrix) -> Spectrum4:
@@ -87,42 +89,66 @@ def spectrum_closed(m: XDensityMatrix) -> Spectrum4:
     )
 
 
-def _block_eigs(a: float, b: float, c: complex):
-    # hypot form for the discriminant, then the small root via the
-    # determinant so it never suffers cancellation
+def _l1(m14, m23):
+    return 2.0 * m14 + 2.0 * m23
+
+
+def _block_eigs(a, b, c):
+    # c is the modulus of the off-diagonal entry.  hypot form for the
+    # discriminant, then the small root via the determinant so it never
+    # suffers cancellation
     half = 0.5 * (a + b)
-    d = math.hypot(0.5 * (a - b), abs(c))
+    d = np.hypot(0.5 * (a - b), c)
     hi = half + d
-    det = a * b - abs(c) ** 2
-    lo = det / hi if hi > 0.0 else half - d
+    lo = np.divide(a * b - c * c, hi, out=np.asarray(half - d), where=hi > 0.0)
     return lo, hi
+
+
+def _spectrum(rho11, rho22, rho33, rho44, m14, m23):
+    """Block eigenvalues (inner low, inner high, outer low, outer high),
+    elementwise over arrays, from the populations and coherence moduli."""
+    return (*_block_eigs(rho22, rho33, m23), *_block_eigs(rho11, rho44, m14))
 
 
 def spectrum_general(m: XDensityMatrix) -> Spectrum4:
     """Block eigenvalues computed the numerically careful way."""
-    in_lo, in_hi = _block_eigs(m.rho22, m.rho33, m.rho23)
-    out_lo, out_hi = _block_eigs(m.rho11, m.rho44, m.rho14)
-    return Spectrum4(in_lo, in_hi, out_lo, out_hi)
+    values = _spectrum(*m.diagonals(), _modulus(m.rho14), _modulus(m.rho23))
+    return Spectrum4(*(float(v) for v in values))
 
 
-def _entropy_bits(values) -> float:
-    total = 0.0
-    for v in values:
-        if v < -_EIG_CLAMP:
-            raise ValueError(f"eigenvalue {v!r} is negative beyond tolerance")
-        if v <= 0.0:
-            continue  # 0 log 0 = 0, and dust in [-1e-10, 0) counts as 0
-        total -= v * math.log2(v)
-    return total
+def _rec(faults, diagonals, spectrum):
+    """Relative entropy of coherence in bits, S(diagonal part) - S(state),
+    elementwise over arrays.  Eigenvalue dust in [-1e-10, 0) counts as 0
+    (0 log 0 = 0), and a result in [-1e-12, 0) as 0; lower values are
+    recorded in faults."""
+    values = np.array((*diagonals, *spectrum))
+    bad = values < -_EIG_CLAMP
+    if bad.any():
+        for v, b in zip(values, bad):
+            faults.add(b, ValueError, "eigenvalue {!r} is negative beyond tolerance", v)
+    t = values * np.log2(values, out=np.zeros_like(values), where=values > 0.0)
+    rec = (((t[4] + t[5]) + t[6]) + t[7]) - (((t[0] + t[1]) + t[2]) + t[3])
+    faults.add(rec < -_REC_CLAMP, ValueError, "relative entropy of coherence came out negative: {!r}", rec)
+    return np.maximum(0.0, rec)
 
 
 def coherence_rec(m: XDensityMatrix) -> float:
     """Relative entropy of coherence in bits:
     S(diagonal part) - S(full state)."""
-    rec = _entropy_bits(m.diagonals()) - _entropy_bits(spectrum_general(m).as_tuple())
-    if rec < -_REC_CLAMP:
-        raise ValueError(f"relative entropy of coherence came out negative: {rec!r}")
-    return 0.0 if rec < 0.0 else rec
+    diagonals = m.diagonals()
+    faults = Faults()
+    rec = _rec(faults, diagonals, _spectrum(*diagonals, _modulus(m.rho14), _modulus(m.rho23)))
+    faults.raise_first()
+    return float(rec)
+
+
+def _negativity(rho11, rho22, rho33, rho44, m14, m23):
+    # Two-block negativity of an X state (Yu & Eberly, QIC 7, 459, 2007):
+    # the partial transpose moves |rho14| into the inner block and |rho23|
+    # into the outer one; sum the negative parts of both low eigenvalues.
+    inner = _block_eigs(rho22, rho33, m14)[0]
+    outer = _block_eigs(rho11, rho44, m23)[0]
+    return np.maximum(0.0, -inner) + np.maximum(0.0, -outer)
 
 
 def negativity_full(m: XDensityMatrix) -> float:
@@ -164,5 +190,20 @@ def negativity_pair(m: XDensityMatrix):
     return full, closed
 
 
+def _measures(faults, rho11, rho22, rho33, rho44, m14, m23):
+    """(c_l1, c_rec, negativity) elementwise over arrays, from the
+    populations and coherence moduli; the kernel behind measure_set()."""
+    diagonals = (rho11, rho22, rho33, rho44)
+    return (
+        _l1(m14, m23),
+        _rec(faults, diagonals, _spectrum(*diagonals, m14, m23)),
+        _negativity(*diagonals, m14, m23),
+    )
+
+
 def measure_set(m: XDensityMatrix) -> MeasureSet:
-    return MeasureSet(coherence_l1(m), coherence_rec(m), negativity_full(m))
+    """C_l1, relative entropy of coherence and the two-block negativity."""
+    faults = Faults()
+    c_l1, c_rec, neg = _measures(faults, *m.diagonals(), _modulus(m.rho14), _modulus(m.rho23))
+    faults.raise_first()
+    return MeasureSet(float(c_l1), float(c_rec), float(neg))

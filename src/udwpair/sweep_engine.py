@@ -1,18 +1,23 @@
 """Parameter sweeps and CSV emission.
 
-Everything downstream of the correlators is cheap, so a sweep is just an
-evaluate-per-grid-point map.  All lengths and times are expressed in units
-of the switching width (the Gaussian smearing scale is pinned to 1), which
-matches how the figure presets are defined.
+Every closed form downstream of the parameters is elementwise, so a sweep
+grid is evaluated as one batch: correlators, states and measures run over
+numpy arrays in one pass, and a single point is a batch of one.  All
+lengths and times are expressed in units of the switching width (the
+Gaussian smearing scale is pinned to 1), which matches how the figure
+presets are defined.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
-from .detector_state import AssemblyError, InitialState, assemble_main
-from .field_correlators import DetectorParams, PairGeometry, closed_form_correlators
-from .quantum_measures import coherence_l1, coherence_rec, negativity_full
+import numpy as np
+
+from ._checks import Faults
+from .detector_state import InitialState, XDensityMatrix, _assemble, _modulus, _state_faults
+from .field_correlators import CorrelatorSet, DetectorParams, PairGeometry, _correlators
+from .quantum_measures import _measures
 
 __all__ = [
     "ModelParams",
@@ -29,7 +34,15 @@ __all__ = [
     "emit_csv",
 ]
 
-VARY_CHOICES = ("l", "dtau", "lambda", "omega-b")
+# The ModelParams fields each sweep knob sets.
+_VARY_FIELDS = {
+    "l": ("separation",),
+    "dtau": ("delay",),
+    "lambda": ("lambda_a", "lambda_b"),
+    "omega-b": ("gap_b",),
+}
+
+VARY_CHOICES = tuple(_VARY_FIELDS)
 
 CSV_HEADER = (
     "vary,f_a,f_b,kappa,omega,gamma,rho11,rho22,rho33,rho44,"
@@ -43,7 +56,10 @@ class SweepError(RuntimeError):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """One full parameter point, smearing width fixed at 1."""
+    """One full parameter point, smearing width fixed at 1.
+
+    The batch routes also carry many points in one instance, with every
+    field an array of the same length."""
 
     theta: float = math.pi / 4.0
     lambda_a: float = 1.0
@@ -80,8 +96,7 @@ class SweepSpec:
             raise ValueError(f"start must be below stop, got [{self.start!r}, {self.stop!r}]")
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One CSV row; field order matches CSV_HEADER."""
 
     value: float
@@ -100,40 +115,8 @@ class SweepRow:
     c_rec: float
     negativity: float
 
-    @classmethod
-    def from_parts(cls, value, correlators, state, measures):
-        return cls(
-            value,
-            correlators.f_a,
-            correlators.f_b,
-            correlators.kappa,
-            correlators.omega,
-            correlators.gamma,
-            state.rho11,
-            state.rho22,
-            state.rho33,
-            state.rho44,
-            abs(state.rho14),
-            abs(state.rho23),
-            measures[0],
-            measures[1],
-            measures[2],
-        )
-
     def astuple(self):
-        return tuple(getattr(self, f.name) for f in fields(self))
-
-
-def _apply_vary(p: ModelParams, vary: str, value: float) -> ModelParams:
-    if vary == "l":
-        return replace(p, separation=value)
-    if vary == "dtau":
-        return replace(p, delay=value)
-    if vary == "lambda":
-        return replace(p, lambda_a=value, lambda_b=value)
-    if vary == "omega-b":
-        return replace(p, gap_b=value)
-    raise ValueError(f"unknown vary {vary!r}")
+        return tuple(self)
 
 
 def detector_pair(p: ModelParams):
@@ -147,39 +130,96 @@ def detector_pair(p: ModelParams):
     return a, b, PairGeometry(p.separation, p.delay, 1.0)
 
 
+def _stack(points) -> ModelParams:
+    """One ModelParams whose fields are arrays over the given points."""
+    columns = zip(*(vars(p).values() for p in points))
+    return ModelParams(*(np.array(c, dtype=float) for c in columns))
+
+
+def _states(p: ModelParams, faults: Faults):
+    """Correlators (f_a, f_b, kappa, omega, gamma) and state elements
+    (rho11..rho44 with dust clamped, rho14, rho23) of a batch of points.
+
+    Records in faults, in the order one point meets them, the checks of
+    detector_pair's containers, CorrelatorSet, InitialState and
+    XDensityMatrix.from_elements.  The delay and tau_a0 are taken as
+    given, so no switch-time difference has to reproduce the delay.
+    """
+    # overflow and 0/0 surface as non-finite values, which the checks record
+    with np.errstate(all="ignore"):
+        tau_b0 = p.tau_a0 + p.delay
+        detector = ("coupling", "switching_weight", "energy_gap", "switch_time")
+        faults.fields(DetectorParams, dict(zip(detector, (p.lambda_a, p.eta_a, p.gap_a, p.tau_a0))))
+        faults.fields(DetectorParams, dict(zip(detector, (p.lambda_b, p.eta_b, p.gap_b, tau_b0))))
+        faults.fields(PairGeometry, {"separation": p.separation, "delay": p.delay, "smearing_width": 1.0})
+        correlators = (
+            *_correlators(p.lambda_a, p.eta_a, p.lambda_b, p.eta_b, p.separation, p.delay, 1.0),
+            p.gap_a * p.tau_a0 + p.gap_b * tau_b0,
+        )
+        faults.fields(CorrelatorSet, dict(zip(("f_a", "f_b", "kappa", "omega", "gamma"), correlators)))
+        faults.fields(InitialState, {"theta": p.theta})
+        delta = p.gap_a * p.tau_a0 - p.gap_b * tau_b0
+        elements = _assemble(p.theta, *correlators, delta)
+        diagonals = _state_faults(faults, *elements)
+    return correlators, (*diagonals, *elements[4:])
+
+
+def _batch_states(p: ModelParams):
+    """_states of a batch; raises the error of its first failing point."""
+    faults = Faults()
+    correlators, state = _states(p, faults)
+    faults.raise_first()
+    return correlators, state
+
+
+def _one(p: ModelParams) -> ModelParams:
+    # a batch of one point: numpy scalars, so that the kernels' arithmetic
+    # follows numpy rules (inf and nan, not ZeroDivisionError)
+    return ModelParams(*(np.float64(v) for v in vars(p).values()))
+
+
 def point_state(p: ModelParams):
     """Correlators and assembled state for one parameter point."""
-    a, b, g = detector_pair(p)
-    c = closed_form_correlators(a, b, g)
-    delta = p.gap_a * p.tau_a0 - p.gap_b * (p.tau_a0 + p.delay)
-    return c, assemble_main(InitialState(p.theta), c, delta=delta)
+    correlators, state = _batch_states(_one(p))
+    c = CorrelatorSet(*(v.item() for v in correlators))
+    return c, XDensityMatrix(*(v.item() for v in state))
+
+
+def _columns(p: ModelParams, faults: Faults):
+    """The SweepRow columns after the value, over a batch of points."""
+    correlators, state = _states(p, faults)
+    with np.errstate(all="ignore"):  # a failed point may carry inf or nan
+        moduli = (_modulus(state[4]), _modulus(state[5]))
+        measures = _measures(faults, *state[:4], *moduli)
+    return (*correlators, *state[:4], *moduli, *measures)
+
+
+def _rows(values, columns) -> list:
+    return list(map(SweepRow._make, np.column_stack((values, *columns)).tolist()))
 
 
 def evaluate_point(p: ModelParams) -> SweepRow:
     """Correlators, state, measures for one parameter point."""
-    c, state = point_state(p)
-    measures = (coherence_l1(state), coherence_rec(state), negativity_full(state))
-    return SweepRow.from_parts(0.0, c, state, measures)
+    faults = Faults()
+    columns = _columns(_one(p), faults)
+    faults.raise_first()
+    return SweepRow(0.0, *(v.item() for v in columns))
 
 
-def _evaluate_at(spec: SweepSpec, value: float) -> SweepRow:
-    try:
-        row = evaluate_point(_apply_vary(spec.fixed, spec.vary, value))
-    except (AssemblyError, ValueError) as exc:
-        raise SweepError(f"sweep failed at {spec.vary}={value!r}: {exc}") from exc
-    return replace(row, value=value)
-
-
-def run_sweep(spec: SweepSpec, max_workers: int | None = None) -> list:
-    """Evaluate the sweep grid in order.  max_workers > 1 uses threads;
-    the work releases the GIL poorly, so this mostly matters for quad."""
+def run_sweep(spec: SweepSpec) -> list:
+    """Evaluate the sweep grid in order, as one batch."""
     span = spec.stop - spec.start
-    values = [spec.start + span * i / (spec.steps - 1) for i in range(spec.steps)]
+    values = spec.start + span * np.arange(spec.steps) / (spec.steps - 1)
     values[-1] = spec.stop  # exact endpoint regardless of rounding
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(lambda v: _evaluate_at(spec, v), values))
-    return [_evaluate_at(spec, v) for v in values]
+    fixed = {k: np.full(spec.steps, v, dtype=float) for k, v in vars(spec.fixed).items()}
+    p = ModelParams(**(fixed | dict.fromkeys(_VARY_FIELDS[spec.vary], values)))
+    faults = Faults()
+    columns = _columns(p, faults)
+    found = faults.first()
+    if found is not None:
+        index, exc = found
+        raise SweepError(f"sweep failed at {spec.vary}={float(values[index])!r}: {exc}") from exc
+    return _rows(values, columns)
 
 
 _PRESET_STEPS = 401
@@ -252,14 +292,14 @@ def figure_preset(which: str) -> list:
     raise ValueError(f"unknown figure preset {which!r}")
 
 
+_ROW_FORMAT = ",".join(["%.17g"] * len(SweepRow._fields))
+
+
 def emit_csv(rows, sink) -> int:
     """Write rows as CSV with 17 significant digits (lossless float
     round-trip).  Returns the number of bytes written."""
     if not rows:
         raise ValueError("no rows to emit")
-    lines = [CSV_HEADER]
-    for row in rows:
-        lines.append(",".join(f"{v:.17g}" for v in row.astuple()))
-    data = "\n".join(lines) + "\n"
+    data = "\n".join([CSV_HEADER, *(_ROW_FORMAT % row for row in rows)]) + "\n"
     sink.write(data)
     return len(data.encode("utf-8"))

@@ -13,16 +13,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector_state import InitialState, assemble_appendix
-from .field_correlators import closed_form_correlators, oracle_correlators
+from .detector_state import InitialState, XDensityMatrix, _modulus, assemble_appendix
+from .field_correlators import CorrelatorSet, oracle_correlators
 from .quantum_measures import (
+    _negativity,
+    _spectrum,
     negativity_closed,
     negativity_full,
     spectrum_closed,
-    spectrum_general,
 )
-from .special_functions import dawson, erfi
-from .sweep_engine import ModelParams, detector_pair, point_state
+from .special_functions import _dawson, erfi
+from .sweep_engine import ModelParams, _batch_states, _stack, detector_pair
 
 __all__ = ["CheckResult", "random_model_params", "run_all"]
 
@@ -36,7 +37,7 @@ class CheckResult:
     detail: str = ""
 
 
-# (x, D(x)) reference pairs spanning all three evaluator branches.
+# (x, D(x)) reference pairs spanning the evaluator's working range.
 _DAWSON_TABLE = (
     (0.25, 0.239839163562898212365),
     (0.5, 0.424436383502022295934),
@@ -86,19 +87,24 @@ def random_model_params(
     )
 
 
-def _build(p: ModelParams):
-    a, b, g = detector_pair(p)
-    c, state = point_state(p)
-    return a, b, g, c, state
+def _per_draw(columns):
+    """Tuples of Python numbers, one per draw, from a batch's columns."""
+    return zip(*(c.tolist() for c in columns))
+
+
+def _moduli(state):
+    return _modulus(state[4]), _modulus(state[5])
 
 
 def _check_dawson() -> CheckResult:
-    worst = 0.0
-    for x, ref in _DAWSON_TABLE:
-        worst = max(worst, abs(dawson(x) - ref) / ref)
-        odd = dawson(-x) + dawson(x)
-        worst = max(worst, abs(odd) / ref)
-    worst = max(worst, abs(erfi(1.0) - _ERFI_ONE) / _ERFI_ONE)
+    xs = np.array([x for x, _ in _DAWSON_TABLE])
+    refs = np.array([ref for _, ref in _DAWSON_TABLE])
+    d = _dawson(xs)
+    worst = max(
+        float(np.max(np.abs(d - refs) / refs)),
+        float(np.max(np.abs(_dawson(-xs) + d) / refs)),
+        abs(erfi(1.0) - _ERFI_ONE) / _ERFI_ONE,
+    )
     return CheckResult(
         "dawson-reference",
         worst,
@@ -108,18 +114,20 @@ def _check_dawson() -> CheckResult:
     )
 
 
+# Each sampled check draws all its points first, evaluates the runtime
+# route on them as one batch, then runs the oracle route draw by draw.
+
+
 def _check_correlators(rng: random.Random, points: int) -> CheckResult:
     # error scale: relative above 1e-3, absolute (1e-9 at the tolerance)
     # below, folded into one ratio against max(|oracle|, 1e-3)
+    draws = [random_model_params(rng, lambda_max=5.0) for _ in range(points)]
     worst = 0.0
-    for _ in range(points):
-        a, b, g = detector_pair(random_model_params(rng, lambda_max=5.0))
-        closed = closed_form_correlators(a, b, g)
-        numeric = oracle_correlators(a, b, g)
-        for name in ("f_a", "f_b", "kappa", "omega", "gamma"):
+    for p, closed in zip(draws, _per_draw(_batch_states(_stack(draws))[0])):
+        numeric = oracle_correlators(*detector_pair(p))
+        for name, value in zip(("f_a", "f_b", "kappa", "omega", "gamma"), closed):
             ref = getattr(numeric, name)
-            err = abs(getattr(closed, name) - ref) / max(abs(ref), 1e-3)
-            worst = max(worst, err)
+            worst = max(worst, abs(value - ref) / max(abs(ref), 1e-3))
     return CheckResult(
         "correlators-vs-quadrature",
         worst,
@@ -130,13 +138,14 @@ def _check_correlators(rng: random.Random, points: int) -> CheckResult:
 
 
 def _check_assembly(rng: random.Random, points: int) -> CheckResult:
+    draws = [random_model_params(rng, tau_span=5.0) for _ in range(points)]
+    correlators, state = _batch_states(_stack(draws))
     worst = 0.0
-    for _ in range(points):
-        p = random_model_params(rng, tau_span=5.0)
-        a, b, g, c, state = _build(p)
-        other = assemble_appendix(InitialState(p.theta), a, b, c)
-        for name in ("rho11", "rho22", "rho33", "rho44", "rho14", "rho23"):
-            worst = max(worst, abs(getattr(state, name) - getattr(other, name)))
+    for p, c, elements in zip(draws, _per_draw(correlators), _per_draw(state)):
+        a, b, _ = detector_pair(p)
+        other = assemble_appendix(InitialState(p.theta), a, b, CorrelatorSet(*c))
+        others = (*other.diagonals(), other.rho14, other.rho23)
+        worst = max(worst, *(abs(x - y) for x, y in zip(elements, others)))
     return CheckResult(
         "assembly-dual-route",
         worst,
@@ -147,11 +156,11 @@ def _check_assembly(rng: random.Random, points: int) -> CheckResult:
 
 
 def _check_spectrum(rng: random.Random, points: int) -> CheckResult:
+    state = _batch_states(_stack([random_model_params(rng) for _ in range(points)]))[1]
+    general = _spectrum(*state[:4], *_moduli(state))
     worst = 0.0
-    for _ in range(points):
-        state = _build(random_model_params(rng))[4]
-        a = spectrum_closed(state).as_tuple()
-        b = spectrum_general(state).as_tuple()
+    for elements, b in zip(_per_draw(state), _per_draw(general)):
+        a = spectrum_closed(XDensityMatrix(*elements)).as_tuple()
         worst = max(worst, max(abs(x - y) for x, y in zip(a, b)))
     return CheckResult(
         "spectrum-dual-route",
@@ -165,11 +174,12 @@ def _check_spectrum(rng: random.Random, points: int) -> CheckResult:
 def _check_physicality(rng: random.Random, points: int) -> CheckResult:
     # two tolerances folded into one normalized ratio:
     # |trace - 1| / 1e-12 and (negative eigenvalue excursion) / 1e-10
+    state = _batch_states(_stack([random_model_params(rng) for _ in range(points)]))[1]
     worst = 0.0
-    for _ in range(points):
-        state = _build(random_model_params(rng))[4]
-        trace = math.fsum(state.diagonals())
-        eigs = np.linalg.eigvalsh(state.as_matrix())
+    for elements in _per_draw(state):
+        m = XDensityMatrix(*elements)
+        trace = math.fsum(m.diagonals())
+        eigs = np.linalg.eigvalsh(m.as_matrix())
         dip = max(0.0, -float(eigs[0]))
         worst = max(worst, abs(trace - 1.0) / 1e-12, dip / 1e-10)
     return CheckResult(
@@ -182,11 +192,16 @@ def _check_physicality(rng: random.Random, points: int) -> CheckResult:
 
 
 def _check_negativity(rng: random.Random, points: int) -> CheckResult:
+    # the runtime two-block negativity and the one-block closed form, each
+    # against the dense partial transpose
+    state = _batch_states(_stack([random_model_params(rng) for _ in range(points)]))[1]
+    runtime = _negativity(*state[:4], *_moduli(state))
     worst = 0.0
     exceptions = 0
-    for _ in range(points):
-        state = _build(random_model_params(rng))[4]
-        diff = abs(negativity_full(state) - negativity_closed(state))
+    for elements, two_block in zip(_per_draw(state), runtime.tolist()):
+        m = XDensityMatrix(*elements)
+        full = negativity_full(m)
+        diff = max(abs(two_block - full), abs(negativity_closed(m) - full))
         worst = max(worst, diff)
         if diff > 1e-12:
             exceptions += 1

@@ -40,12 +40,12 @@ def dawson_reference(x: float) -> float:
 @pytest.fixture(scope="session")
 def draw_grid():
     """The 10^4-point random parameter grid shared by the physicality and
-    dual-route acceptance checks (one build, several consumers)."""
-    from udwpair import point_state
+    dual-route acceptance checks (one batch, several consumers)."""
+    from udwpair import XDensityMatrix
+    from udwpair.sweep_engine import _batch_states, _stack
 
     rng = random.Random(20260815)
-    out = []
-    for _ in range(10_000):
-        p = random_model_params(rng)
-        out.append((p, point_state(p)[1]))
-    return out
+    points = [random_model_params(rng) for _ in range(10_000)]
+    state = _batch_states(_stack(points))[1]
+    rows = zip(*(column.tolist() for column in state))
+    return [(p, XDensityMatrix(*row)) for p, row in zip(points, rows)]

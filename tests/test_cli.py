@@ -1,10 +1,23 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import udwpair
 from udwpair import CSV_HEADER, ModelParams, evaluate_point
 from udwpair.cli import main
+
+
+def _fresh_python(*args):
+    """Run a new interpreter that imports this checkout's udwpair."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(udwpair.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
 
 
 def test_point_default_output(capsys):
@@ -182,3 +195,30 @@ def test_verify_passes_for_any_seed(capsys):
     assert main(["verify", "--points", "25", "--seed", "42"]) == 0
     assert main(["verify", "--points", "25", "--seed", "43"]) == 0
     capsys.readouterr()
+
+
+def test_point_accepts_a_large_time_origin(capsys):
+    # 1e17 + 3 rounds to 1e17, so no switch-time difference can reproduce
+    # the delay; the model takes the delay as given
+    row = evaluate_point(ModelParams(tau_a0=1e17))
+    assert abs(row.rho11 + row.rho22 + row.rho33 + row.rho44 - 1.0) <= 1e-12
+    assert row.c_l1 <= 1.0
+    assert main(["point", "--tau-a0", "1e17"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["measures"]["c_l1"] == row.c_l1
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy serves only the quadrature oracle and is imported on first use
+    proc = _fresh_python(
+        "-c", "import sys, udwpair; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_module_entry_point_runs_with_warnings_as_errors():
+    # runpy warns when udwpair.cli is imported before it runs as __main__
+    proc = _fresh_python("-W", "error", "-m", "udwpair.cli", "point")
+    assert proc.returncode == 0, proc.stderr
+    assert set(json.loads(proc.stdout)) == {"correlators", "state", "spectrum", "measures"}

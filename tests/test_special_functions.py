@@ -1,15 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from udwpair import dawson, erfi
-from udwpair.special_functions import (
-    _ASYMPTOTIC_EDGE,
-    _MACLAURIN_EDGE,
-    _dawson_asymptotic,
-    _dawson_maclaurin,
-    _dawson_sampling,
-)
+from udwpair.special_functions import _FAR_EDGE, _NEAR_EDGE
 
 from conftest import dawson_reference
 
@@ -58,19 +53,31 @@ def test_against_reference_grid():
     assert worst <= 1e-12
 
 
-def test_branch_seams_agree():
-    # the two evaluators meeting at each internal seam must overlap
-    edge = _MACLAURIN_EDGE
-    assert _dawson_maclaurin(edge) == pytest.approx(_dawson_sampling(edge), rel=5e-13)
-    edge = _ASYMPTOTIC_EDGE
-    assert _dawson_sampling(edge) == pytest.approx(_dawson_asymptotic(edge), rel=5e-13)
-
-
-def test_continuity_across_branch_dispatch():
-    for edge in (_MACLAURIN_EDGE, 4.0, _ASYMPTOTIC_EDGE):
+def test_continuity_across_guard_edges():
+    # the Taylor and 1/(2x) guards meet the sampling series, and the
+    # series' centre sample jumps where 2x crosses a half-integer
+    for edge in (_NEAR_EDGE, 0.25, 1.25, 10.25, 39.75, _FAR_EDGE):
         below = dawson(math.nextafter(edge, 0.0))
         above = dawson(math.nextafter(edge, math.inf))
-        assert abs(below - above) <= 1e-12 * abs(below)
+        assert abs(below - above) <= 1e-14 * abs(below)
+
+
+def _grid():
+    xs = np.concatenate(([0.0, 1e-200, 3e-9], np.geomspace(1e-6, 40.0, 97), [1e8, 1e151, 1e200]))
+    return np.concatenate((xs, -xs))
+
+
+def test_array_call_matches_float_calls():
+    xs = _grid()
+    got = dawson(xs)
+    assert isinstance(got, np.ndarray) and got.shape == xs.shape
+    want = np.array([dawson(float(x)) for x in xs])
+    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+
+def test_array_call_is_exactly_odd():
+    xs = _grid()
+    assert np.array_equal(dawson(-xs), -dawson(xs))
 
 
 def test_asymptotic_leading_term():

@@ -52,11 +52,24 @@ def test_vary_choices_cover_the_presets():
     assert set(VARY_CHOICES) == {"l", "dtau", "lambda", "omega-b"}
 
 
-def test_threaded_run_matches_serial():
-    spec = SweepSpec("dtau", start=-4.0, stop=4.0, steps=21)
-    serial = run_sweep(spec)
-    threaded = run_sweep(spec, max_workers=4)
-    assert [r.astuple() for r in serial] == [r.astuple() for r in threaded]
+def test_batch_sweep_matches_pointwise():
+    # the grid runs as one batch; every row must match the point evaluated
+    # alone, and the grid must be start + span * i / (steps - 1), stop exact
+    knobs = {
+        "l": ((0.1, 9.7), ("separation",)),
+        "dtau": ((-4.0, 4.0), ("delay",)),
+        "lambda": ((0.0, 6.0), ("lambda_a", "lambda_b")),
+        "omega-b": ((0.3, 3.7), ("gap_b",)),
+    }
+    for vary in VARY_CHOICES:
+        (start, stop), names = knobs[vary]
+        spec = SweepSpec(vary, start=start, stop=stop, steps=21)
+        rows = run_sweep(spec)
+        grid = [start + (stop - start) * i / 20 for i in range(20)] + [stop]
+        assert [r.value for r in rows] == grid
+        for row in rows:
+            alone = evaluate_point(replace(spec.fixed, **dict.fromkeys(names, row.value)))
+            assert max(abs(a - b) for a, b in zip(row[1:], alone[1:])) <= 1e-14
 
 
 def test_spec_validation():
@@ -130,7 +143,7 @@ def test_csv_is_deterministic():
     spec = SweepSpec("dtau", start=0.0, stop=5.0, steps=11)
     first, second = io.StringIO(), io.StringIO()
     emit_csv(run_sweep(spec), first)
-    emit_csv(run_sweep(spec, max_workers=3), second)
+    emit_csv(run_sweep(spec), second)
     assert first.getvalue() == second.getvalue()
 
 
