@@ -27,11 +27,9 @@ factor exp(+-2i x) inside f_(jklm) carries the commutator scalar kappa.
 import cmath
 import math
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
-from ._checks import Faults, validate
 from .field_correlators import CorrelatorSet, DetectorParams
 
 __all__ = [
@@ -60,10 +58,9 @@ class InitialState:
 
     theta: float
 
-    _checks: ClassVar = (("theta", "lie in [0, pi/2]"),)
-
     def __post_init__(self):
-        validate(self)
+        if not (math.isfinite(self.theta) and 0.0 <= self.theta <= math.pi / 2.0):
+            raise ValueError(f"InitialState.theta must lie in [0, pi/2], got {self.theta!r}")
 
 
 @dataclass(frozen=True)
@@ -87,34 +84,35 @@ def _modulus(z):
     return np.hypot(np.real(z), np.imag(z))
 
 
-def _state_faults(faults, rho11, rho22, rho33, rho44, rho14, rho23):
-    """Record, elementwise and in order, the invariant checks of an X state:
-    trace, population signs, then each 2x2 block's positivity.  Returns the
-    four populations with dust below zero clamped to 0."""
+_POPULATIONS = ("rho11", "rho22", "rho33", "rho44")
+
+
+def _margins(rho11, rho22, rho33, rho44, m14, m23):
+    """Invariant margins of an X state, elementwise over arrays, from the
+    populations and coherence moduli: the trace deviation, the populations
+    with dust below zero clamped to 0, and for the outer then the inner
+    block |off-diagonal|^2 - product of populations and the low eigenvalue."""
     dev = rho11 + rho22 + rho33 + rho44 - 1.0
-    faults.add(abs(dev) > _RAISE_TOL, AssemblyError, "trace deviates from 1 by {:.3e}", dev)
-    diags = []
-    for name, v in zip(("rho11", "rho22", "rho33", "rho44"), (rho11, rho22, rho33, rho44)):
-        faults.add(v < -_RAISE_TOL, AssemblyError, "population {} is negative: {:.3e}", name, v)
-        diags.append(np.maximum(0.0, v))  # dust within tolerance; keeps -0.0 and nan
-    for name, d1, d2, off in (
-        ("outer", diags[0], diags[3], rho14),
-        ("inner", diags[1], diags[2], rho23),
-    ):
-        mod = _modulus(off)
-        excess = mod * mod - d1 * d2
-        faults.add(
-            excess > _RAISE_TOL,
-            AssemblyError,
-            "{} block violates |off-diagonal|^2 <= product of populations by {:.3e}",
-            name,
-            excess,
-        )
-        low_eig = 0.5 * (d1 + d2) - np.hypot(0.5 * (d1 - d2), mod)
-        faults.add(
-            low_eig < -_RAISE_TOL, AssemblyError, "{} block eigenvalue is negative: {:.3e}", name, low_eig
-        )
-    return diags
+    d = [np.maximum(0.0, v) for v in (rho11, rho22, rho33, rho44)]  # keeps -0.0
+    blocks = [
+        (mod * mod - d1 * d2, 0.5 * (d1 + d2) - np.hypot(0.5 * (d1 - d2), mod))
+        for d1, d2, mod in ((d[0], d[3], m14), (d[1], d[2], m23))
+    ]
+    return dev, d, blocks
+
+
+def _state_ok(rho11, rho22, rho33, rho44, rho14, rho23):
+    """(ok, populations with dust clamped) over a batch of X states; ok is
+    False where from_elements would raise.  Every comparison is written so
+    that nan fails it, and a non-finite element makes some margin nan or
+    infinite."""
+    dev, diags, blocks = _margins(rho11, rho22, rho33, rho44, _modulus(rho14), _modulus(rho23))
+    ok = abs(dev) <= _RAISE_TOL
+    for v in (rho11, rho22, rho33, rho44):
+        ok = ok & (v >= -_RAISE_TOL)
+    for excess, low_eig in blocks:
+        ok = ok & (excess <= _RAISE_TOL) & (low_eig >= -_RAISE_TOL)
+    return ok, diags
 
 
 @dataclass(frozen=True)
@@ -139,9 +137,23 @@ class XDensityMatrix:
         pops = (float(rho11), float(rho22), float(rho33), float(rho44))
         rho14 = complex(rho14)
         rho23 = complex(rho23)
-        faults = Faults()
-        diags = _state_faults(faults, *pops, rho14, rho23)
-        faults.raise_first()
+        for name, v in zip((*_POPULATIONS, "rho14", "rho23"), (*pops, rho14, rho23)):
+            if not cmath.isfinite(v):
+                raise AssemblyError(f"element {name} is not finite: {v!r}")
+        dev, diags, blocks = _margins(*pops, abs(rho14), abs(rho23))
+        if abs(dev) > _RAISE_TOL:
+            raise AssemblyError(f"trace deviates from 1 by {dev:.3e}")
+        for name, v in zip(_POPULATIONS, pops):
+            if v < -_RAISE_TOL:
+                raise AssemblyError(f"population {name} is negative: {v:.3e}")
+        for name, (excess, low_eig) in zip(("outer", "inner"), blocks):
+            if excess > _RAISE_TOL:
+                raise AssemblyError(
+                    f"{name} block violates |off-diagonal|^2 <= product of populations "
+                    f"by {excess:.3e}"
+                )
+            if low_eig < -_RAISE_TOL:
+                raise AssemblyError(f"{name} block eigenvalue is negative: {low_eig:.3e}")
         return cls(*(float(d) for d in diags), rho14, rho23)
 
     def diagonals(self):

@@ -27,11 +27,9 @@ convention), which is what pins f_j = exp(-lambda_j^2 eta_j^2 / (2 pi^2 sigma^2)
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
-from ._checks import validate
 from .special_functions import _dawson
 
 __all__ = [
@@ -65,6 +63,11 @@ class QuadratureError(RuntimeError):
     """The adaptive quadrature could not certify the requested accuracy."""
 
 
+def _require_finite(obj, name, value):
+    if not math.isfinite(value):
+        raise ValueError(f"{obj}.{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DetectorParams:
     """One detector: coupling, switching weight, energy gap, switch time.
@@ -79,18 +82,17 @@ class DetectorParams:
     energy_gap: float = 0.0
     switch_time: float = 0.0
 
-    _checks: ClassVar = (
-        ("coupling", "be finite"),
-        ("switching_weight", "be finite"),
-        ("energy_gap", "be finite"),
-        ("switch_time", "be finite"),
-        ("coupling", "be >= 0"),
-        ("switching_weight", "be > 0"),
-        ("energy_gap", "be >= 0"),
-    )
-
     def __post_init__(self):
-        validate(self)
+        for name in ("coupling", "switching_weight", "energy_gap", "switch_time"):
+            _require_finite("DetectorParams", name, getattr(self, name))
+        if self.coupling < 0.0:
+            raise ValueError(f"DetectorParams.coupling must be >= 0, got {self.coupling!r}")
+        if self.switching_weight <= 0.0:
+            raise ValueError(
+                f"DetectorParams.switching_weight must be > 0, got {self.switching_weight!r}"
+            )
+        if self.energy_gap < 0.0:
+            raise ValueError(f"DetectorParams.energy_gap must be >= 0, got {self.energy_gap!r}")
 
 
 @dataclass(frozen=True)
@@ -103,16 +105,15 @@ class PairGeometry:
     delay: float
     smearing_width: float = 1.0
 
-    _checks: ClassVar = (
-        ("separation", "be finite"),
-        ("delay", "be finite"),
-        ("smearing_width", "be finite"),
-        ("separation", "be >= 0"),
-        ("smearing_width", "be > 0"),
-    )
-
     def __post_init__(self):
-        validate(self)
+        for name in ("separation", "delay", "smearing_width"):
+            _require_finite("PairGeometry", name, getattr(self, name))
+        if self.separation < 0.0:
+            raise ValueError(f"PairGeometry.separation must be >= 0, got {self.separation!r}")
+        if self.smearing_width <= 0.0:
+            raise ValueError(
+                f"PairGeometry.smearing_width must be > 0, got {self.smearing_width!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -125,18 +126,13 @@ class CorrelatorSet:
     omega: float
     gamma: float
 
-    _checks: ClassVar = (
-        ("f_a", "be finite"),
-        ("f_b", "be finite"),
-        ("kappa", "be finite"),
-        ("omega", "be finite"),
-        ("gamma", "be finite"),
-        ("f_a", "lie in (0, 1]"),
-        ("f_b", "lie in (0, 1]"),
-    )
-
     def __post_init__(self):
-        validate(self)
+        for name in ("f_a", "f_b", "kappa", "omega", "gamma"):
+            _require_finite("CorrelatorSet", name, getattr(self, name))
+        for name in ("f_a", "f_b"):
+            v = getattr(self, name)
+            if not 0.0 < v <= 1.0:
+                raise ValueError(f"CorrelatorSet.{name} must lie in (0, 1], got {v!r}")
 
 
 def _check_sigma(sigma):

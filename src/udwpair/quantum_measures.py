@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import Faults
 from .detector_state import XDensityMatrix, _modulus
 
 __all__ = [
@@ -116,30 +115,38 @@ def spectrum_general(m: XDensityMatrix) -> Spectrum4:
     return Spectrum4(*(float(v) for v in values))
 
 
-def _rec(faults, diagonals, spectrum):
+def _rec(diagonals, spectrum):
     """Relative entropy of coherence in bits, S(diagonal part) - S(state),
-    elementwise over arrays.  Eigenvalue dust in [-1e-10, 0) counts as 0
-    (0 log 0 = 0), and a result in [-1e-12, 0) as 0; lower values are
-    recorded in faults."""
+    elementwise over arrays, before its clamp, with the eight entropy
+    arguments it came from.  Eigenvalue dust below zero counts as 0
+    (0 log 0 = 0)."""
     values = np.array((*diagonals, *spectrum))
-    bad = values < -_EIG_CLAMP
-    if bad.any():
-        for v, b in zip(values, bad):
-            faults.add(b, ValueError, "eigenvalue {!r} is negative beyond tolerance", v)
     t = values * np.log2(values, out=np.zeros_like(values), where=values > 0.0)
     rec = (((t[4] + t[5]) + t[6]) + t[7]) - (((t[0] + t[1]) + t[2]) + t[3])
-    faults.add(rec < -_REC_CLAMP, ValueError, "relative entropy of coherence came out negative: {!r}", rec)
-    return np.maximum(0.0, rec)
+    return rec, values
+
+
+def _rec_ok(rec, values):
+    # False where _checked_rec would raise; nan fails every comparison
+    return np.all(values >= -_EIG_CLAMP, axis=0) & (rec >= -_REC_CLAMP)
+
+
+def _checked_rec(rec, values) -> float:
+    # eigenvalue dust in [-1e-10, 0) and a result in [-1e-12, 0) count as 0;
+    # anything lower is a bug
+    for v in values.tolist():
+        if v < -_EIG_CLAMP:
+            raise ValueError(f"eigenvalue {v!r} is negative beyond tolerance")
+    if rec < -_REC_CLAMP:
+        raise ValueError(f"relative entropy of coherence came out negative: {float(rec)!r}")
+    return float(np.maximum(0.0, rec))
 
 
 def coherence_rec(m: XDensityMatrix) -> float:
     """Relative entropy of coherence in bits:
     S(diagonal part) - S(full state)."""
     diagonals = m.diagonals()
-    faults = Faults()
-    rec = _rec(faults, diagonals, _spectrum(*diagonals, _modulus(m.rho14), _modulus(m.rho23)))
-    faults.raise_first()
-    return float(rec)
+    return _checked_rec(*_rec(diagonals, _spectrum(*diagonals, _modulus(m.rho14), _modulus(m.rho23))))
 
 
 def _negativity(rho11, rho22, rho33, rho44, m14, m23):
@@ -190,20 +197,17 @@ def negativity_pair(m: XDensityMatrix):
     return full, closed
 
 
-def _measures(faults, rho11, rho22, rho33, rho44, m14, m23):
-    """(c_l1, c_rec, negativity) elementwise over arrays, from the
-    populations and coherence moduli; the kernel behind measure_set()."""
+def _measures(rho11, rho22, rho33, rho44, m14, m23):
+    """(ok, (c_l1, c_rec, negativity)) elementwise over arrays, from the
+    populations and coherence moduli; ok is False where coherence_rec
+    would raise."""
     diagonals = (rho11, rho22, rho33, rho44)
-    return (
-        _l1(m14, m23),
-        _rec(faults, diagonals, _spectrum(*diagonals, m14, m23)),
-        _negativity(*diagonals, m14, m23),
-    )
+    rec, values = _rec(diagonals, _spectrum(*diagonals, m14, m23))
+    measures = (_l1(m14, m23), np.maximum(0.0, rec), _negativity(*diagonals, m14, m23))
+    return _rec_ok(rec, values), measures
 
 
 def measure_set(m: XDensityMatrix) -> MeasureSet:
     """C_l1, relative entropy of coherence and the two-block negativity."""
-    faults = Faults()
-    c_l1, c_rec, neg = _measures(faults, *m.diagonals(), _modulus(m.rho14), _modulus(m.rho23))
-    faults.raise_first()
-    return MeasureSet(float(c_l1), float(c_rec), float(neg))
+    moduli = (_modulus(m.rho14), _modulus(m.rho23))
+    return MeasureSet(coherence_l1(m), coherence_rec(m), float(_negativity(*m.diagonals(), *moduli)))

@@ -14,10 +14,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._checks import Faults
-from .detector_state import InitialState, XDensityMatrix, _assemble, _modulus, _state_faults
+from .detector_state import AssemblyError, InitialState, XDensityMatrix, _assemble, _modulus, _state_ok
 from .field_correlators import CorrelatorSet, DetectorParams, PairGeometry, _correlators
-from .quantum_measures import _measures
+from .quantum_measures import _measures, measure_set
 
 __all__ = [
     "ModelParams",
@@ -136,39 +135,75 @@ def _stack(points) -> ModelParams:
     return ModelParams(*(np.array(c, dtype=float) for c in columns))
 
 
-def _states(p: ModelParams, faults: Faults):
-    """Correlators (f_a, f_b, kappa, omega, gamma) and state elements
-    (rho11..rho44 with dust clamped, rho14, rho23) of a batch of points.
+def _states(p: ModelParams):
+    """Correlators (f_a, f_b, kappa, omega, gamma) and raw state elements
+    (rho11..rho44, rho14, rho23) of a batch of points.  The delay and
+    tau_a0 are taken as given, so no switch-time difference has to
+    reproduce the delay."""
+    tau_b0 = p.tau_a0 + p.delay
+    correlators = (
+        *_correlators(p.lambda_a, p.eta_a, p.lambda_b, p.eta_b, p.separation, p.delay, 1.0),
+        p.gap_a * p.tau_a0 + p.gap_b * tau_b0,
+    )
+    delta = p.gap_a * p.tau_a0 - p.gap_b * tau_b0
+    return correlators, _assemble(p.theta, *correlators, delta)
 
-    Records in faults, in the order one point meets them, the checks of
-    detector_pair's containers, CorrelatorSet, InitialState and
-    XDensityMatrix.from_elements.  The delay and tau_a0 are taken as
-    given, so no switch-time difference has to reproduce the delay.
-    """
-    # overflow and 0/0 surface as non-finite values, which the checks record
+
+def _params_ok(p: ModelParams, correlators):
+    # False where detector_pair's containers, CorrelatorSet or InitialState
+    # would raise; nan fails every comparison
+    f_a, f_b = correlators[:2]
+    finite = np.isfinite([*vars(p).values(), p.tau_a0 + p.delay, *correlators]).all(axis=0)
+    signs = (p.lambda_a >= 0.0) & (p.lambda_b >= 0.0) & (p.eta_a > 0.0) & (p.eta_b > 0.0)
+    signs &= (p.gap_a >= 0.0) & (p.gap_b >= 0.0) & (p.separation >= 0.0)
+    ranges = (p.theta >= 0.0) & (p.theta <= math.pi / 2.0)
+    ranges &= (f_a > 0.0) & (f_a <= 1.0) & (f_b > 0.0) & (f_b <= 1.0)
+    return finite & signs & ranges
+
+
+def _checked_states(p: ModelParams):
+    """(ok, correlators, state) of a batch of points, the state's
+    populations with dust clamped; ok is False where a point fails a
+    check of the scalar route."""
+    # overflow and 0/0 surface as non-finite values, which fail the checks
     with np.errstate(all="ignore"):
-        tau_b0 = p.tau_a0 + p.delay
-        detector = ("coupling", "switching_weight", "energy_gap", "switch_time")
-        faults.fields(DetectorParams, dict(zip(detector, (p.lambda_a, p.eta_a, p.gap_a, p.tau_a0))))
-        faults.fields(DetectorParams, dict(zip(detector, (p.lambda_b, p.eta_b, p.gap_b, tau_b0))))
-        faults.fields(PairGeometry, {"separation": p.separation, "delay": p.delay, "smearing_width": 1.0})
-        correlators = (
-            *_correlators(p.lambda_a, p.eta_a, p.lambda_b, p.eta_b, p.separation, p.delay, 1.0),
-            p.gap_a * p.tau_a0 + p.gap_b * tau_b0,
-        )
-        faults.fields(CorrelatorSet, dict(zip(("f_a", "f_b", "kappa", "omega", "gamma"), correlators)))
-        faults.fields(InitialState, {"theta": p.theta})
-        delta = p.gap_a * p.tau_a0 - p.gap_b * tau_b0
-        elements = _assemble(p.theta, *correlators, delta)
-        diagonals = _state_faults(faults, *elements)
-    return correlators, (*diagonals, *elements[4:])
+        correlators, elements = _states(p)
+        ok, diagonals = _state_ok(*elements)
+        return ok & _params_ok(p, correlators), correlators, (*diagonals, *elements[4:])
+
+
+def _replay(p: ModelParams) -> None:
+    """Evaluate one point through the scalar containers, which raise the
+    point's error with its message."""
+    a, b, g = detector_pair(p)
+    with np.errstate(all="ignore"):
+        correlators, elements = _states(_one(p))
+    CorrelatorSet(*(v.item() for v in correlators))
+    InitialState(p.theta)
+    measure_set(XDensityMatrix.from_elements(*elements))
+
+
+def _failure(p: ModelParams, ok):
+    """(index, exception) of the first point of a batch that fails a check,
+    or None.  The failing point is rerun alone through the scalar route,
+    so the exception is the one a single evaluation of it raises."""
+    if ok.all():
+        return None
+    index = int(np.argmin(ok))
+    try:
+        _replay(ModelParams(*(np.ravel(v)[index].item() for v in vars(p).values())))
+    except (AssemblyError, ValueError) as exc:
+        return index, exc
+    return index, AssemblyError("the point fails an invariant check only inside its batch")
 
 
 def _batch_states(p: ModelParams):
-    """_states of a batch; raises the error of its first failing point."""
-    faults = Faults()
-    correlators, state = _states(p, faults)
-    faults.raise_first()
+    """Correlators and state of a batch; raises the error of its first
+    failing point."""
+    ok, correlators, state = _checked_states(p)
+    found = _failure(p, ok)
+    if found is not None:
+        raise found[1]
     return correlators, state
 
 
@@ -185,13 +220,13 @@ def point_state(p: ModelParams):
     return c, XDensityMatrix(*(v.item() for v in state))
 
 
-def _columns(p: ModelParams, faults: Faults):
-    """The SweepRow columns after the value, over a batch of points."""
-    correlators, state = _states(p, faults)
+def _columns(p: ModelParams):
+    """(ok, the SweepRow columns after the value) over a batch of points."""
+    ok, correlators, state = _checked_states(p)
     with np.errstate(all="ignore"):  # a failed point may carry inf or nan
         moduli = (_modulus(state[4]), _modulus(state[5]))
-        measures = _measures(faults, *state[:4], *moduli)
-    return (*correlators, *state[:4], *moduli, *measures)
+        measures_ok, measures = _measures(*state[:4], *moduli)
+    return ok & measures_ok, (*correlators, *state[:4], *moduli, *measures)
 
 
 def _rows(values, columns) -> list:
@@ -200,9 +235,11 @@ def _rows(values, columns) -> list:
 
 def evaluate_point(p: ModelParams) -> SweepRow:
     """Correlators, state, measures for one parameter point."""
-    faults = Faults()
-    columns = _columns(_one(p), faults)
-    faults.raise_first()
+    q = _one(p)
+    ok, columns = _columns(q)
+    found = _failure(q, ok)
+    if found is not None:
+        raise found[1]
     return SweepRow(0.0, *(v.item() for v in columns))
 
 
@@ -213,9 +250,8 @@ def run_sweep(spec: SweepSpec) -> list:
     values[-1] = spec.stop  # exact endpoint regardless of rounding
     fixed = {k: np.full(spec.steps, v, dtype=float) for k, v in vars(spec.fixed).items()}
     p = ModelParams(**(fixed | dict.fromkeys(_VARY_FIELDS[spec.vary], values)))
-    faults = Faults()
-    columns = _columns(p, faults)
-    found = faults.first()
+    ok, columns = _columns(p)
+    found = _failure(p, ok)
     if found is not None:
         index, exc = found
         raise SweepError(f"sweep failed at {spec.vary}={float(values[index])!r}: {exc}") from exc

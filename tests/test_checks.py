@@ -1,31 +1,22 @@
-import numpy as np
+import math
+from dataclasses import replace
+
 import pytest
 
-from udwpair import AssemblyError, ModelParams, SweepError, SweepSpec, run_sweep
-from udwpair._checks import Faults
+from udwpair import (
+    AssemblyError,
+    ModelParams,
+    SweepError,
+    SweepSpec,
+    XDensityMatrix,
+    evaluate_point,
+    point_state,
+    run_sweep,
+)
 
-
-def test_first_failing_element_reports_its_first_failed_check():
-    # element 2 fails the earlier check, element 1 only the later one: the
-    # batch must report element 1, as a loop over the points would
-    faults = Faults()
-    faults.add(np.array([False, False, True]), ValueError, "early {!r}", np.array([1.0, 2.0, 3.0]))
-    faults.add(np.array([False, True, True]), AssemblyError, "{} late {:.1f}", "block", np.array([4.0, 5.0, 6.0]))
-    index, exc = faults.first()
-    assert index == 1
-    assert isinstance(exc, AssemblyError) and str(exc) == "block late 5.0"
-
-    faults.add(np.array([True, False, False]), ValueError, "last {!r}", np.array([7.0, 8.0, 9.0]))
-    index, exc = faults.first()
-    assert index == 0 and str(exc) == "last 7.0"
-
-
-def test_passing_batch_has_no_fault():
-    faults = Faults()
-    faults.add(np.array([False, False]), ValueError, "never {!r}", np.array([1.0, 2.0]))
-    faults.add(False, ValueError, "never")
-    assert faults.first() is None
-    faults.raise_first()
+# At lambda*eta near 90 and short separation, f_a*f_b underflows to 0 while
+# cosh(omega) overflows, so the closed forms give 0*inf = nan populations.
+_OVERFLOW = ModelParams(lambda_a=90.0, lambda_b=90.0, separation=0.5, delay=0.0)
 
 
 def test_failing_fixed_parameter_names_the_first_grid_value():
@@ -36,3 +27,29 @@ def test_failing_fixed_parameter_names_the_first_grid_value():
     assert str(info.value) == (
         "sweep failed at l=1.0: DetectorParams.switching_weight must be > 0, got 0.0"
     )
+
+
+def test_non_finite_state_is_rejected():
+    with pytest.raises(AssemblyError, match="element rho11 is not finite: nan"):
+        evaluate_point(_OVERFLOW)
+    with pytest.raises(AssemblyError, match="not finite"):
+        point_state(_OVERFLOW)
+    with pytest.raises(AssemblyError, match="element rho14 is not finite"):
+        XDensityMatrix.from_elements(0.25, 0.25, 0.25, 0.25, complex(math.nan, 0.0), 0.0)
+
+
+def test_sweep_reports_the_first_failing_grid_value():
+    # the grid crosses from finite states into the overflow region; the
+    # batch must name the first point a pointwise loop would fail on
+    spec = SweepSpec("lambda", fixed=_OVERFLOW, start=60.0, stop=100.0, steps=41)
+    with pytest.raises(SweepError) as info:
+        run_sweep(spec)
+    for i in range(spec.steps):
+        value = spec.start + (spec.stop - spec.start) * i / (spec.steps - 1)
+        try:
+            evaluate_point(replace(_OVERFLOW, lambda_a=value, lambda_b=value))
+        except AssemblyError as exc:
+            assert str(info.value) == f"sweep failed at lambda={value!r}: {exc}"
+            assert i > 0
+            return
+    pytest.fail("no grid point failed on its own")

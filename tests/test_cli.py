@@ -208,6 +208,14 @@ def test_point_accepts_a_large_time_origin(capsys):
     assert payload["measures"]["c_l1"] == row.c_l1
 
 
+def test_point_with_overflowing_state_exits_1(capsys):
+    # f_a*f_b underflows while cosh(omega) overflows: no NaN payload
+    assert main(["point", "--lambda", "90", "--l", "0.5", "--dtau", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not finite" in captured.err
+
+
 def test_import_leaves_scipy_unloaded():
     # scipy serves only the quadrature oracle and is imported on first use
     proc = _fresh_python(
