@@ -146,7 +146,8 @@ def coherence_rec(m: XDensityMatrix) -> float:
     """Relative entropy of coherence in bits:
     S(diagonal part) - S(full state)."""
     diagonals = m.diagonals()
-    return _checked_rec(*_rec(diagonals, _spectrum(*diagonals, _modulus(m.rho14), _modulus(m.rho23))))
+    spectrum = _spectrum(*diagonals, _modulus(m.rho14), _modulus(m.rho23))
+    return _checked_rec(*_rec(diagonals, spectrum))
 
 
 def _negativity(rho11, rho22, rho33, rho44, m14, m23):
@@ -210,4 +211,5 @@ def _measures(rho11, rho22, rho33, rho44, m14, m23):
 def measure_set(m: XDensityMatrix) -> MeasureSet:
     """C_l1, relative entropy of coherence and the two-block negativity."""
     moduli = (_modulus(m.rho14), _modulus(m.rho23))
-    return MeasureSet(coherence_l1(m), coherence_rec(m), float(_negativity(*m.diagonals(), *moduli)))
+    negativity = float(_negativity(*m.diagonals(), *moduli))
+    return MeasureSet(coherence_l1(m), coherence_rec(m), negativity)

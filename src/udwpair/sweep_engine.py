@@ -14,7 +14,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .detector_state import AssemblyError, InitialState, XDensityMatrix, _assemble, _modulus, _state_ok
+from .detector_state import (
+    AssemblyError,
+    InitialState,
+    XDensityMatrix,
+    _assemble,
+    _modulus,
+    _state_ok,
+)
 from .field_correlators import CorrelatorSet, DetectorParams, PairGeometry, _correlators
 from .quantum_measures import _measures, measure_set
 
