@@ -2,10 +2,10 @@
 
 Two pointlike two-level detectors couple impulsively to a massless scalar
 field in the Minkowski vacuum.  The reduced post-interaction state is an
-X-shaped 4x4 density matrix fixed by five correlator scalars, all of which
-have closed forms here alongside independent quadrature oracles.  On top
-sit the standard correlation measures and a sweep engine that reproduces
-the survey figures.
+X-shaped 4x4 density matrix fixed by four field correlator scalars, all of
+which have closed forms here alongside independent quadrature oracles, and
+by the two detectors' gap phases.  On top sit the standard correlation
+measures and a sweep engine that reproduces the survey figures.
 """
 
 from .detector_state import (
@@ -27,7 +27,6 @@ from .field_correlators import (
     commutator_kappa,
     decay_factor,
     oracle_correlators,
-    phase_gamma,
 )
 from .quantum_measures import (
     MeasureSet,
@@ -37,7 +36,6 @@ from .quantum_measures import (
     measure_set,
     negativity_closed,
     negativity_full,
-    negativity_pair,
     spectrum_closed,
     spectrum_general,
 )
@@ -96,9 +94,7 @@ __all__ = [
     "measure_set",
     "negativity_closed",
     "negativity_full",
-    "negativity_pair",
     "oracle_correlators",
-    "phase_gamma",
     "point_state",
     "random_model_params",
     "run_all",

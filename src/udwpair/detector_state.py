@@ -3,10 +3,11 @@
 After both detectors have fired, the reduced two-detector state in the
 basis |gg>, |ge>, |eg>, |ee> has an X shape: four real populations plus
 the two anti-diagonal coherences rho14 and rho23.  This module builds that
-state from the five correlator scalars along two independent routes:
+state from a CorrelatorSet (four field scalars and the two gap phases)
+along two independent routes:
 
 * assemble_main: the compact per-element expressions in terms of
-  cosh/sinh(omega), cos/sin(2 kappa) and the phase gamma.
+  cosh/sinh(omega), cos/sin(2 kappa) and the phases gamma and delta.
 * assemble_appendix: the expansion of the evolution operator into the 16
   vacuum moments f_(jklm) (signature j,k,l,m in {+1,-1}) with explicit
   per-term gap phases exp(+-i Omega tau0), then the four basis-projector
@@ -15,13 +16,14 @@ state from the five correlator scalars along two independent routes:
 The two must agree entrywise to 1e-12, which the test suite enforces over
 random parameter draws.
 
-Phase conventions: rho14 carries exp(-i (Omega_A tau_A0 + Omega_B tau_B0))
-and rho23 carries exp(-i (Omega_A tau_A0 - Omega_B tau_B0)).  The sign in
-the rho23 prefactor is the one consistent with the moment expansion (an
-alternative convention with a plus sign appears in some closed-form
-listings of the same elements; the modulus, which is all that enters the
-measures, is identical either way).  The moment expansion's central-phase
-factor exp(+-2i x) inside f_(jklm) carries the commutator scalar kappa.
+Phase conventions: rho14 carries exp(-i gamma) with gamma = phase_a +
+phase_b = Omega_A tau_A0 + Omega_B tau_B0, and rho23 carries exp(-i delta)
+with delta = phase_a - phase_b.  The sign in the rho23 prefactor is the one
+consistent with the moment expansion (an alternative convention with a
+plus sign appears in some closed-form listings of the same elements; the
+modulus, which is all that enters the measures, is identical either way).
+The moment expansion's central-phase factor exp(+-2i x) inside f_(jklm)
+carries the commutator scalar kappa.
 """
 
 import cmath
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field_correlators import CorrelatorSet, DetectorParams
+from .field_correlators import CorrelatorSet
 
 __all__ = [
     "InitialState",
@@ -196,9 +198,10 @@ def f_jklm(sig: FSignature, c: CorrelatorSet) -> complex:
     return (const + a_part + b_part + ab_part) / 16.0
 
 
-def _assemble(theta, fa, fb, kappa, omega, gamma, delta):
+def _assemble(theta, fa, fb, kappa, omega, phase_a, phase_b):
     """(rho11, rho22, rho33, rho44, rho14, rho23) from the compact
     per-element closed forms, elementwise over arrays."""
+    gamma = phase_a + phase_b
     c2 = np.cos(2.0 * theta)
     cs = np.cos(theta) * np.sin(theta)
     sym = fa * fb * np.cosh(omega)        # even combination, feeds all populations
@@ -222,23 +225,13 @@ def _assemble(theta, fa, fb, kappa, omega, gamma, delta):
     b14 = core + 0.5 * cs * ((1.0 + sym) * cg + 1j * ((fa + fb * c2k) * sg))
     b23 = -core + 0.5 * cs * ((1.0 - sym) * cg + 1j * ((fa - fb * c2k) * sg))
     r14 = np.exp(-1j * gamma) * b14
-    r23 = np.exp(-1j * delta) * b23
+    r23 = np.exp(-1j * (phase_a - phase_b)) * b23
     return r11, r22, r33, r44, r14, r23
 
 
-def assemble_main(
-    s: InitialState, c: CorrelatorSet, *, delta: float | None = None
-) -> XDensityMatrix:
-    """Build the X state from the compact per-element closed forms.
-
-    delta is the gap-weighted switch-time difference
-    Omega_A tau_A0 - Omega_B tau_B0 entering the phase of rho23; the five
-    correlator scalars do not determine it.  None selects -gamma, which is
-    the value under the default time origin tau_A0 = 0.
-    """
-    if delta is None:
-        delta = -c.gamma
-    elements = _assemble(s.theta, c.f_a, c.f_b, c.kappa, c.omega, c.gamma, delta)
+def assemble_main(s: InitialState, c: CorrelatorSet) -> XDensityMatrix:
+    """Build the X state from the compact per-element closed forms."""
+    elements = _assemble(s.theta, c.f_a, c.f_b, c.kappa, c.omega, c.phase_a, c.phase_b)
     return XDensityMatrix.from_elements(*elements)
 
 
@@ -264,22 +257,14 @@ def _real_part(name, z):
     return z.real
 
 
-def assemble_appendix(
-    s: InitialState, a: DetectorParams, b: DetectorParams, c: CorrelatorSet
-) -> XDensityMatrix:
+def assemble_appendix(s: InitialState, c: CorrelatorSet) -> XDensityMatrix:
     """Build the X state from the 16 vacuum moments and explicit gap phases.
 
-    Takes the detector parameters for the phase bookkeeping (each term
-    carries its own exp(+-i Omega tau0) factors).  Cross-checks
+    Each term carries its own exp(+-i Omega tau0) factors.  Cross-checks
     assemble_main; the two agree entrywise to 1e-12.
     """
-    phi_a = a.energy_gap * a.switch_time
-    phi_b = b.energy_gap * b.switch_time
-    gamma = phi_a + phi_b
-    if abs(gamma - c.gamma) > 1e-9:
-        raise ValueError(
-            f"correlator gamma {c.gamma!r} does not match the detectors' phases ({gamma!r})"
-        )
+    phi_a, phi_b = c.phase_a, c.phase_b
+    gamma = c.gamma
     th = s.theta
     cc = math.cos(th) ** 2
     ss = math.sin(th) ** 2

@@ -3,7 +3,8 @@
 Two two-level detectors couple to a massless scalar field in 3+1
 dimensions, each at a single instant of its proper time and each through a
 normalized Gaussian spatial profile of width sigma.  After tracing out the
-field, the joint detector state is fixed by five scalars:
+field, the joint detector state is fixed by four field scalars and the two
+gap phases:
 
     f_A, f_B   per-detector decay factors in (0, 1]
     kappa      vacuum expectation of the commutator of the two smeared
@@ -12,13 +13,16 @@ field, the joint detector state is fixed by five scalars:
     omega      vacuum expectation of the anticommutator (vacuum
                correlations; nonzero even at spacelike separation, with a
                1/L^2 tail at large separation)
-    gamma      phase Omega_A tau_A0 + Omega_B tau_B0
+    phase_a    Omega_A tau_A0, with tau_A0 the geometry's time origin
+    phase_b    Omega_B tau_B0, with tau_B0 = tau_A0 + delay
 
-Everything is computed two independent ways: closed forms built on the
-Dawson function, and a radial momentum-space quadrature oracle.  The test
-suite holds the two routes against each other to 1e-6 relative.  The
-closed forms run elementwise over numpy arrays (the sweeps evaluate whole
-grids at once); the public functions evaluate one detector pair.
+The rho14 phase is gamma = phase_a + phase_b and the rho23 phase is
+phase_a - phase_b.  The four field scalars are computed two independent
+ways: closed forms built on the Dawson function, and a radial
+momentum-space quadrature oracle.  The test suite holds the two routes
+against each other to 1e-6 relative.  The closed forms run elementwise
+over numpy arrays (the sweeps evaluate whole grids at once); the public
+functions evaluate one detector pair.
 
 Conventions: the smearing profile F(x) = (sqrt(pi) sigma)^(-3) exp(-x^2/sigma^2)
 transforms to F~(k) = (2 pi)^(-3/2) exp(-sigma^2 k^2 / 4) (symmetric Fourier
@@ -40,7 +44,6 @@ __all__ = [
     "decay_factor",
     "commutator_kappa",
     "anticommutator_omega",
-    "phase_gamma",
     "closed_form_correlators",
     "oracle_correlators",
 ]
@@ -70,20 +73,19 @@ def _require_finite(obj, name, value):
 
 @dataclass(frozen=True)
 class DetectorParams:
-    """One detector: coupling, switching weight, energy gap, switch time.
+    """One detector: coupling, switching weight, energy gap.
 
     coupling is dimensionless and nonnegative; switching_weight carries
     units of time and is positive; energy_gap is a nonnegative inverse
-    time; switch_time is the proper time of the interaction instant.
+    time.
     """
 
     coupling: float
     switching_weight: float
     energy_gap: float = 0.0
-    switch_time: float = 0.0
 
     def __post_init__(self):
-        for name in ("coupling", "switching_weight", "energy_gap", "switch_time"):
+        for name in ("coupling", "switching_weight", "energy_gap"):
             _require_finite("DetectorParams", name, getattr(self, name))
         if self.coupling < 0.0:
             raise ValueError(f"DetectorParams.coupling must be >= 0, got {self.coupling!r}")
@@ -97,16 +99,17 @@ class DetectorParams:
 
 @dataclass(frozen=True)
 class PairGeometry:
-    """Spatial separation L >= 0, switching delay (may be negative), and
-    smearing width sigma > 0.  The delay is tau_B0 - tau_A0; the builders
-    that also consume switch times check the two stay consistent."""
+    """Spatial separation L >= 0, switching delay (may be negative),
+    smearing width sigma > 0 and time origin.  Detector A fires at the
+    time origin tau_A0 and detector B at tau_A0 + delay."""
 
     separation: float
     delay: float
     smearing_width: float = 1.0
+    time_origin: float = 0.0
 
     def __post_init__(self):
-        for name in ("separation", "delay", "smearing_width"):
+        for name in ("separation", "delay", "smearing_width", "time_origin"):
             _require_finite("PairGeometry", name, getattr(self, name))
         if self.separation < 0.0:
             raise ValueError(f"PairGeometry.separation must be >= 0, got {self.separation!r}")
@@ -118,21 +121,28 @@ class PairGeometry:
 
 @dataclass(frozen=True)
 class CorrelatorSet:
-    """The five scalars that determine the joint detector state."""
+    """The field scalars and gap phases that determine the joint detector
+    state."""
 
     f_a: float
     f_b: float
     kappa: float
     omega: float
-    gamma: float
+    phase_a: float
+    phase_b: float
 
     def __post_init__(self):
-        for name in ("f_a", "f_b", "kappa", "omega", "gamma"):
+        for name in ("f_a", "f_b", "kappa", "omega", "phase_a", "phase_b"):
             _require_finite("CorrelatorSet", name, getattr(self, name))
         for name in ("f_a", "f_b"):
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
                 raise ValueError(f"CorrelatorSet.{name} must lie in (0, 1], got {v!r}")
+
+    @property
+    def gamma(self) -> float:
+        """Phase Omega_A tau_A0 + Omega_B tau_B0 of rho14."""
+        return self.phase_a + self.phase_b
 
 
 def _check_sigma(sigma):
@@ -140,15 +150,10 @@ def _check_sigma(sigma):
         raise ValueError(f"smearing width must be a positive finite number, got {sigma!r}")
 
 
-def _check_delay_consistency(a, b, g):
-    # switch times carry the phases, the geometry carries the delay; the two
-    # descriptions must agree about tau_B0 - tau_A0
-    implied = b.switch_time - a.switch_time
-    if abs(implied - g.delay) > 1e-9 * max(1.0, abs(g.delay)):
-        raise ValueError(
-            "inconsistent delay: geometry says "
-            f"{g.delay!r} but switch times give {implied!r}"
-        )
+def _phases(gap_a, gap_b, time_origin, delay):
+    """(phase_a, phase_b) = (Omega_A tau_A0, Omega_B (tau_A0 + delay)),
+    elementwise over arrays."""
+    return gap_a * time_origin, gap_b * (time_origin + delay)
 
 
 def _decay(le):
@@ -258,16 +263,10 @@ def anticommutator_omega(a: DetectorParams, b: DetectorParams, g: PairGeometry) 
     return float(_omega(_coupling_product(a, b), g.separation, g.delay, g.smearing_width))
 
 
-def phase_gamma(a: DetectorParams, b: DetectorParams) -> float:
-    """Gap-weighted sum of switch times entering the off-diagonal phases."""
-    return a.energy_gap * a.switch_time + b.energy_gap * b.switch_time
-
-
 def closed_form_correlators(
     a: DetectorParams, b: DetectorParams, g: PairGeometry
 ) -> CorrelatorSet:
-    """All five scalars via the closed forms."""
-    _check_delay_consistency(a, b, g)
+    """The field scalars via the closed forms, with the gap phases."""
     values = _correlators(
         a.coupling,
         a.switching_weight,
@@ -277,7 +276,8 @@ def closed_form_correlators(
         g.delay,
         g.smearing_width,
     )
-    return CorrelatorSet(*(float(v) for v in values), phase_gamma(a, b))
+    phases = _phases(a.energy_gap, b.energy_gap, g.time_origin, g.delay)
+    return CorrelatorSet(*(float(v) for v in values), *phases)
 
 
 def _sinc(x):
@@ -323,7 +323,8 @@ def _radial_quad(integrand, kmax, breakpoints, what):
 
 
 def oracle_correlators(a: DetectorParams, b: DetectorParams, g: PairGeometry) -> CorrelatorSet:
-    """All five scalars via direct radial momentum-space quadrature.
+    """The field scalars via direct radial momentum-space quadrature, with
+    the gap phases.
 
     The angular integral of exp(-i k . r) over directions is 4 pi sinc(kL),
     done analytically; what remains are one-dimensional Gaussian-damped,
@@ -339,7 +340,6 @@ def oracle_correlators(a: DetectorParams, b: DetectorParams, g: PairGeometry) ->
     Raises QuadratureError when the 1e-9 absolute error budget cannot be
     certified.
     """
-    _check_delay_consistency(a, b, g)
     s = g.smearing_width
     sep, delay = g.separation, g.delay
     kmax = _KMAX_OVER_SIGMA / s
@@ -368,9 +368,9 @@ def oracle_correlators(a: DetectorParams, b: DetectorParams, g: PairGeometry) ->
         "anticommutator integral",
     )
     return CorrelatorSet(
-        f_a=f_a,
-        f_b=f_b,
-        kappa=-cprod / (2.0 * _PI2) * kap_int,
-        omega=-cprod / _PI2 * om_int,
-        gamma=phase_gamma(a, b),
+        f_a,
+        f_b,
+        -cprod / (2.0 * _PI2) * kap_int,
+        -cprod / _PI2 * om_int,
+        *_phases(a.energy_gap, b.energy_gap, g.time_origin, g.delay),
     )

@@ -17,7 +17,6 @@ absolute sum of negative partial-transpose eigenvalues (transpose taken
 over the first detector).
 """
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -34,11 +33,8 @@ __all__ = [
     "coherence_rec",
     "negativity_full",
     "negativity_closed",
-    "negativity_pair",
     "measure_set",
 ]
-
-logger = logging.getLogger(__name__)
 
 # Eigenvalue dust below zero tolerated by the entropy; anything lower is a bug.
 _EIG_CLAMP = 1e-10
@@ -175,27 +171,6 @@ def negativity_closed(m: XDensityMatrix) -> float:
         math.hypot(abs(m.rho14), 0.5 * (m.rho33 - m.rho22))
         - 0.5 * (m.rho22 + m.rho33),
     )
-
-
-def negativity_pair(m: XDensityMatrix):
-    """Both negativity routes; logs a warning if they disagree.
-
-    The closed form only tracks the partial-transpose block built from the
-    inner populations and rho14.  The other block (outer populations and
-    rho23) stays positive for every state this package builds, but a
-    hand-crafted X matrix can break that, in which case the full route is
-    the trustworthy one.
-    """
-    full = negativity_full(m)
-    closed = negativity_closed(m)
-    if abs(full - closed) > 1e-12:
-        logger.warning(
-            "negativity routes disagree: full=%r closed=%r (closed form covers one "
-            "partial-transpose block only)",
-            full,
-            closed,
-        )
-    return full, closed
 
 
 def _measures(rho11, rho22, rho33, rho44, m14, m23):

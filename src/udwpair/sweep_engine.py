@@ -22,7 +22,13 @@ from .detector_state import (
     _modulus,
     _state_ok,
 )
-from .field_correlators import CorrelatorSet, DetectorParams, PairGeometry, _correlators
+from .field_correlators import (
+    CorrelatorSet,
+    DetectorParams,
+    PairGeometry,
+    _correlators,
+    _phases,
+)
 from .quantum_measures import _measures, measure_set
 
 __all__ = [
@@ -49,11 +55,6 @@ _VARY_FIELDS = {
 }
 
 VARY_CHOICES = tuple(_VARY_FIELDS)
-
-CSV_HEADER = (
-    "vary,f_a,f_b,kappa,omega,gamma,rho11,rho22,rho33,rho44,"
-    "abs_rho14,abs_rho23,c_l1,c_rec,negativity"
-)
 
 
 class SweepError(RuntimeError):
@@ -103,7 +104,7 @@ class SweepSpec:
 
 
 class SweepRow(NamedTuple):
-    """One CSV row; field order matches CSV_HEADER."""
+    """One CSV row; CSV_HEADER names its fields, the first as "vary"."""
 
     value: float
     f_a: float
@@ -125,15 +126,18 @@ class SweepRow(NamedTuple):
         return tuple(self)
 
 
+CSV_HEADER = ",".join(("vary", *SweepRow._fields[1:]))
+
+
 def detector_pair(p: ModelParams):
     """DetectorParams pair and geometry for one parameter point.
 
-    Detector B fires at tau_a0 + delay, so the delay knob moves B while A
-    keeps the time origin.
+    tau_a0 is the geometry's time origin: detector A fires there and B at
+    tau_a0 + delay, so the delay knob moves B while A keeps the origin.
     """
-    a = DetectorParams(p.lambda_a, p.eta_a, p.gap_a, p.tau_a0)
-    b = DetectorParams(p.lambda_b, p.eta_b, p.gap_b, p.tau_a0 + p.delay)
-    return a, b, PairGeometry(p.separation, p.delay, 1.0)
+    a = DetectorParams(p.lambda_a, p.eta_a, p.gap_a)
+    b = DetectorParams(p.lambda_b, p.eta_b, p.gap_b)
+    return a, b, PairGeometry(p.separation, p.delay, 1.0, p.tau_a0)
 
 
 def _stack(points) -> ModelParams:
@@ -143,24 +147,20 @@ def _stack(points) -> ModelParams:
 
 
 def _states(p: ModelParams):
-    """Correlators (f_a, f_b, kappa, omega, gamma) and raw state elements
-    (rho11..rho44, rho14, rho23) of a batch of points.  The delay and
-    tau_a0 are taken as given, so no switch-time difference has to
-    reproduce the delay."""
-    tau_b0 = p.tau_a0 + p.delay
+    """Correlators (f_a, f_b, kappa, omega, phase_a, phase_b) and raw
+    state elements (rho11..rho44, rho14, rho23) of a batch of points."""
     correlators = (
         *_correlators(p.lambda_a, p.eta_a, p.lambda_b, p.eta_b, p.separation, p.delay, 1.0),
-        p.gap_a * p.tau_a0 + p.gap_b * tau_b0,
+        *_phases(p.gap_a, p.gap_b, p.tau_a0, p.delay),
     )
-    delta = p.gap_a * p.tau_a0 - p.gap_b * tau_b0
-    return correlators, _assemble(p.theta, *correlators, delta)
+    return correlators, _assemble(p.theta, *correlators)
 
 
 def _params_ok(p: ModelParams, correlators):
     # False where detector_pair's containers, CorrelatorSet or InitialState
     # would raise; nan fails every comparison
     f_a, f_b = correlators[:2]
-    finite = np.isfinite([*vars(p).values(), p.tau_a0 + p.delay, *correlators]).all(axis=0)
+    finite = np.isfinite([*vars(p).values(), *correlators]).all(axis=0)
     signs = (p.lambda_a >= 0.0) & (p.lambda_b >= 0.0) & (p.eta_a > 0.0) & (p.eta_b > 0.0)
     signs &= (p.gap_a >= 0.0) & (p.gap_b >= 0.0) & (p.separation >= 0.0)
     ranges = (p.theta >= 0.0) & (p.theta <= math.pi / 2.0)
@@ -233,7 +233,8 @@ def _columns(p: ModelParams):
     with np.errstate(all="ignore"):  # a failed point may carry inf or nan
         moduli = (_modulus(state[4]), _modulus(state[5]))
         measures_ok, measures = _measures(*state[:4], *moduli)
-    return ok & measures_ok, (*correlators, *state[:4], *moduli, *measures)
+    gamma = correlators[4] + correlators[5]  # as CorrelatorSet.gamma
+    return ok & measures_ok, (*correlators[:4], gamma, *state[:4], *moduli, *measures)
 
 
 def _rows(values, columns) -> list:

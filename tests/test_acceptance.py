@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from udwpair import (
-    CorrelatorSet,
     FSignature,
     InitialState,
     ModelParams,
@@ -172,9 +171,8 @@ def test_dual_path_state_assembly():
         p = random_model_params(rng, tau_span=5.0)
         a, b, g = detector_pair(p)
         c = closed_form_correlators(a, b, g)
-        delta = p.gap_a * p.tau_a0 - p.gap_b * (p.tau_a0 + p.delay)
-        main = assemble_main(InitialState(p.theta), c, delta=delta)
-        appendix = assemble_appendix(InitialState(p.theta), a, b, c)
+        main = assemble_main(InitialState(p.theta), c)
+        appendix = assemble_appendix(InitialState(p.theta), c)
         for name in ("rho11", "rho22", "rho33", "rho44", "rho14", "rho23"):
             worst = max(worst, abs(getattr(main, name) - getattr(appendix, name)))
         for sig in ODD_SIGNATURES:
@@ -266,10 +264,10 @@ def test_symmetry_suite(draw_grid):
         c = closed_form_correlators(a, b, g)
         cprod = a.coupling * b.coupling * a.switching_weight * b.switching_weight
         tail = -cprod / (math.pi**2 * (g.separation**2 - g.delay**2))
-        reduced = CorrelatorSet(c.f_a, c.f_b, 0.0, tail, c.gamma)
+        reduced = replace(c, kappa=0.0, omega=tail)
         s = InitialState(p.theta)
-        full = assemble_main(s, c, delta=-c.gamma)
-        limit = assemble_main(s, reduced, delta=-c.gamma)
+        full = assemble_main(s, c)
+        limit = assemble_main(s, reduced)
         worst_far = max(
             worst_far,
             abs(coherence_l1(full) - coherence_l1(limit)),

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,7 +33,8 @@ def _random_correlators(rng):
         f_b=rng.uniform(0.05, 1.0),
         kappa=rng.uniform(-1.0, 1.0),
         omega=rng.uniform(-0.5, 0.5),
-        gamma=rng.uniform(-6.0, 6.0),
+        phase_a=rng.uniform(-6.0, 6.0),
+        phase_b=rng.uniform(-6.0, 6.0),
     )
 
 
@@ -87,7 +89,7 @@ def test_initial_state_range():
 
 
 def test_decoupled_state_is_initial_projector():
-    idle = CorrelatorSet(1.0, 1.0, 0.0, 0.0, 3.0)
+    idle = CorrelatorSet(1.0, 1.0, 0.0, 0.0, 0.0, 3.0)
     for theta in (0.0, 0.3, math.pi / 4.0, 1.2, math.pi / 2.0):
         state = assemble_main(InitialState(theta), idle)
         cs = math.cos(theta) * math.sin(theta)
@@ -103,41 +105,32 @@ def test_dual_routes_agree():
     rng = random.Random(11)
     for _ in range(300):
         p = random_model_params(rng, tau_span=5.0)
-        a, b, g = detector_pair(p)
-        c = closed_form_correlators(a, b, g)
-        delta = p.gap_a * p.tau_a0 - p.gap_b * (p.tau_a0 + p.delay)
-        main = assemble_main(InitialState(p.theta), c, delta=delta)
-        appendix = assemble_appendix(InitialState(p.theta), a, b, c)
+        c = closed_form_correlators(*detector_pair(p))
+        main = assemble_main(InitialState(p.theta), c)
+        appendix = assemble_appendix(InitialState(p.theta), c)
         for name in ("rho11", "rho22", "rho33", "rho44", "rho14", "rho23"):
             assert abs(getattr(main, name) - getattr(appendix, name)) <= 1e-12
 
 
 def test_delta_moves_only_inner_phase():
+    # phase_a - phase_b goes from -0.75 to 0.25 while the sum stays 1.75
+    # exactly (dyadic values), so only the phase of rho23 may move
     rng = random.Random(12)
-    c = _random_correlators(rng)
+    c = replace(_random_correlators(rng), phase_a=0.5, phase_b=1.25)
     s = InitialState(0.8)
     base = assemble_main(s, c)
-    moved = assemble_main(s, c, delta=1.3)
+    moved = assemble_main(s, replace(c, phase_a=1.0, phase_b=0.75))
     assert moved.diagonals() == base.diagonals()
     assert moved.rho14 == base.rho14
     assert abs(moved.rho23) == pytest.approx(abs(base.rho23), abs=1e-15)
-    want = base.rho23 * cmath.exp(-1j * (1.3 - (-c.gamma)))
+    want = base.rho23 * cmath.exp(-1j * (0.25 - (-0.75)))
     assert moved.rho23 == pytest.approx(want, abs=1e-15)
-
-
-def test_appendix_rejects_mismatched_phase():
-    p = random_model_params(random.Random(13))
-    a, b, g = detector_pair(p)
-    c = closed_form_correlators(a, b, g)
-    wrong = CorrelatorSet(c.f_a, c.f_b, c.kappa, c.omega, c.gamma + 0.5)
-    with pytest.raises(ValueError):
-        assemble_appendix(InitialState(p.theta), a, b, wrong)
 
 
 def test_unphysical_correlators_are_caught():
     # f = 1 (no local decay) combined with a large anticommutator drives a
     # population negative; the builder must refuse rather than return it
-    bad = CorrelatorSet(1.0, 1.0, 0.0, 0.5, 0.0)
+    bad = CorrelatorSet(1.0, 1.0, 0.0, 0.5, 0.0, 0.0)
     with pytest.raises(AssemblyError):
         assemble_main(InitialState(0.0), bad)
 

@@ -1,11 +1,13 @@
 import math
 import random
+from dataclasses import astuple
 
 import pytest
 
 from udwpair import (
     CorrelatorSet,
     DetectorParams,
+    ModelParams,
     PairGeometry,
     QuadratureError,
     anticommutator_omega,
@@ -14,7 +16,7 @@ from udwpair import (
     decay_factor,
     detector_pair,
     oracle_correlators,
-    phase_gamma,
+    point_state,
     random_model_params,
 )
 from udwpair.field_correlators import (
@@ -24,7 +26,7 @@ from udwpair.field_correlators import (
     _omega_small_l,
 )
 
-A_UNIT = DetectorParams(1.0, 1.0, 1.0, 0.0)
+A_UNIT = DetectorParams(1.0, 1.0, 1.0)
 
 # frozen radial-quadrature values (30-digit arithmetic), unit couplings
 KAPPA_L3_DT3 = -0.0105822724945390300982
@@ -34,23 +36,23 @@ OMEGA_L1_DT2 = 0.0167996388894576448101
 
 
 def _pair(l, dtau, lam_a=1.0, lam_b=1.0, eta=1.0):
-    a = DetectorParams(lam_a, eta, 1.0, 0.0)
-    b = DetectorParams(lam_b, eta, 1.0, dtau)
+    a = DetectorParams(lam_a, eta, 1.0)
+    b = DetectorParams(lam_b, eta, 1.0)
     return a, b, PairGeometry(l, dtau, 1.0)
 
 
 def test_decay_factor_frozen_values():
     # exp(-1 / (2 pi^2)) and exp(-100 / (2 pi^2))
     assert decay_factor(A_UNIT, 1.0) == pytest.approx(0.95060125762662669656, rel=1e-15)
-    strong = DetectorParams(5.0, 2.0, 1.0, 0.0)
+    strong = DetectorParams(5.0, 2.0, 1.0)
     assert decay_factor(strong, 1.0) == pytest.approx(0.0063072268617218033262, rel=1e-14)
-    off = DetectorParams(0.0, 1.0, 1.0, 0.0)
+    off = DetectorParams(0.0, 1.0, 1.0)
     assert decay_factor(off, 1.0) == 1.0
 
 
 def test_decay_factor_width_scaling():
     # only the ratio (coupling * weight) / width enters
-    assert decay_factor(A_UNIT, 2.0) == decay_factor(DetectorParams(0.5, 1.0, 1.0, 0.0), 1.0)
+    assert decay_factor(A_UNIT, 2.0) == decay_factor(DetectorParams(0.5, 1.0, 1.0), 1.0)
 
 
 def test_sigma_validation():
@@ -100,9 +102,24 @@ def test_zero_coupling_kills_cross_terms():
 
 
 def test_phase_gamma():
-    a = DetectorParams(1.0, 1.0, 2.0, 1.5)
-    b = DetectorParams(1.0, 1.0, 0.5, -4.0)
-    assert phase_gamma(a, b) == 2.0 * 1.5 + 0.5 * (-4.0)
+    # A fires at the time origin 1.5, B at 1.5 - 5.5 = -4.0
+    a = DetectorParams(1.0, 1.0, 2.0)
+    b = DetectorParams(1.0, 1.0, 0.5)
+    g = PairGeometry(3.0, -5.5, 1.0, 1.5)
+    for c in (closed_form_correlators(a, b, g), oracle_correlators(a, b, g)):
+        assert (c.phase_a, c.phase_b) == (2.0 * 1.5, 0.5 * (-4.0))
+        assert c.gamma == 2.0 * 1.5 + 0.5 * (-4.0)
+
+
+def test_large_time_origin_matches_point_state():
+    # 1e17 + 3 rounds to 1e17, so no firing-time difference can carry the
+    # delay; both routes must take it from the geometry
+    p = ModelParams(tau_a0=1e17)
+    want = point_state(p)[0]
+    a, b, g = detector_pair(p)
+    assert closed_form_correlators(a, b, g) == want
+    for value, ref in zip(astuple(oracle_correlators(a, b, g)), astuple(want)):
+        assert abs(value - ref) <= 1e-6 * max(abs(ref), 1e-3)
 
 
 def test_short_distance_branch_continuity():
@@ -155,36 +172,29 @@ def test_closed_form_set_matches_oracle_spots():
 
 
 def test_quadrature_failure_is_reported():
-    a = DetectorParams(1.0, 1.0, 1.0, 0.0)
-    b = DetectorParams(1.0, 1.0, 1.0, 3.0)
+    a = DetectorParams(1.0, 1.0, 1.0)
     g = PairGeometry(1e6, 3.0, 1.0)
     with pytest.raises(QuadratureError):
-        oracle_correlators(a, b, g)
-
-
-def test_delay_consistency_enforced():
-    a = DetectorParams(1.0, 1.0, 1.0, 0.0)
-    b = DetectorParams(1.0, 1.0, 1.0, 3.0)
-    bad = PairGeometry(2.0, 1.0, 1.0)  # delay disagrees with firing times
-    with pytest.raises(ValueError):
-        closed_form_correlators(a, b, bad)
-    with pytest.raises(ValueError):
-        oracle_correlators(a, b, bad)
+        oracle_correlators(a, a, g)
 
 
 def test_parameter_validation():
     with pytest.raises(ValueError):
-        DetectorParams(-1.0, 1.0, 1.0, 0.0)
+        DetectorParams(-1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
-        DetectorParams(1.0, 0.0, 1.0, 0.0)
+        DetectorParams(1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
-        DetectorParams(1.0, 1.0, -2.0, 0.0)
+        DetectorParams(1.0, 1.0, -2.0)
     with pytest.raises(ValueError):
         PairGeometry(-0.5, 1.0, 1.0)
     with pytest.raises(ValueError):
         PairGeometry(1.0, 1.0, 0.0)
     with pytest.raises(ValueError):
-        CorrelatorSet(0.0, 0.5, 0.1, 0.1, 0.0)
+        PairGeometry(1.0, 1.0, 1.0, math.inf)
     with pytest.raises(ValueError):
-        CorrelatorSet(0.5, 1.5, 0.1, 0.1, 0.0)
-    CorrelatorSet(1.0, 0.5, -0.1, 0.2, 3.0)
+        CorrelatorSet(0.0, 0.5, 0.1, 0.1, 0.0, 0.0)
+    with pytest.raises(ValueError):
+        CorrelatorSet(0.5, 1.5, 0.1, 0.1, 0.0, 0.0)
+    with pytest.raises(ValueError):
+        CorrelatorSet(0.5, 0.5, 0.1, 0.1, 0.0, math.nan)
+    CorrelatorSet(1.0, 0.5, -0.1, 0.2, 1.0, 2.0)

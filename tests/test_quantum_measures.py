@@ -1,4 +1,3 @@
-import logging
 import math
 import random
 
@@ -11,7 +10,6 @@ from udwpair import (
     measure_set,
     negativity_closed,
     negativity_full,
-    negativity_pair,
     point_state,
     random_model_params,
     spectrum_closed,
@@ -99,19 +97,14 @@ def test_negativity_routes_agree_on_model_states():
         assert abs(negativity_full(state) - negativity_closed(state)) <= 1e-12
 
 
-def test_negativity_closed_covers_one_block_only(caplog):
+def test_negativity_closed_covers_one_block_only():
     # hand-built X state whose partial transpose dips negative in the
-    # block the closed form does not track: the full route must win and
-    # the pair helper must flag the disagreement
+    # block the closed form does not track: the full route must win
     m = XDensityMatrix.from_elements(0.1, 0.35, 0.35, 0.2, 0.0, 0.3)
     full = negativity_full(m)
     expect = math.hypot(0.05, 0.3) - 0.15
     assert full == pytest.approx(expect, abs=1e-12)
     assert negativity_closed(m) == 0.0
-    with caplog.at_level(logging.WARNING, logger="udwpair.quantum_measures"):
-        pair = negativity_pair(m)
-    assert pair == (full, 0.0)
-    assert any("disagree" in rec.message for rec in caplog.records)
 
 
 def test_measure_set_bundles_the_three():

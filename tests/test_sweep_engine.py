@@ -21,8 +21,7 @@ from udwpair import (
 def test_detector_pair_timing():
     p = ModelParams(delay=2.5, tau_a0=1.0)
     a, b, g = detector_pair(p)
-    assert a.switch_time == 1.0
-    assert b.switch_time == 3.5
+    assert g.time_origin == 1.0
     assert g.delay == 2.5
     assert g.smearing_width == 1.0
 
@@ -126,7 +125,10 @@ def test_csv_header_and_roundtrip():
     text = sink.getvalue()
     assert size == len(text.encode("utf-8"))
     lines = text.splitlines()
-    assert lines[0] == CSV_HEADER
+    assert lines[0] == CSV_HEADER == (
+        "vary,f_a,f_b,kappa,omega,gamma,rho11,rho22,rho33,rho44,"
+        "abs_rho14,abs_rho23,c_l1,c_rec,negativity"
+    )
     assert len(lines) == 4
     assert text.endswith("\n")
     for line, row in zip(lines[1:], rows):
