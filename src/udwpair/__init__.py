@@ -22,10 +22,7 @@ from .field_correlators import (
     DetectorParams,
     PairGeometry,
     QuadratureError,
-    anticommutator_omega,
     closed_form_correlators,
-    commutator_kappa,
-    decay_factor,
     oracle_correlators,
 )
 from .quantum_measures import (
@@ -39,7 +36,7 @@ from .quantum_measures import (
     spectrum_closed,
     spectrum_general,
 )
-from .special_functions import dawson, erfi
+from .special_functions import dawson
 from .sweep_engine import (
     CSV_HEADER,
     VARY_CHOICES,
@@ -76,18 +73,14 @@ __all__ = [
     "SweepSpec",
     "VARY_CHOICES",
     "XDensityMatrix",
-    "anticommutator_omega",
     "assemble_appendix",
     "assemble_main",
     "closed_form_correlators",
     "coherence_l1",
     "coherence_rec",
-    "commutator_kappa",
     "dawson",
-    "decay_factor",
     "detector_pair",
     "emit_csv",
-    "erfi",
     "evaluate_point",
     "f_jklm",
     "figure_preset",

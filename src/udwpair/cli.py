@@ -13,7 +13,9 @@ broke, file could not be written, a self-check failed), 2 usage error
 
 Parameter resolution per knob: specific flag, then generic flag, then
 config file entry (keys named like the flags), then the built-in default.
-All lengths and times are in units of the switching width, which this
+The knobs, their flags and the config keys all come from
+sweep_engine.KNOBS, and the figure presets from FIGURE_PRESETS.  All
+lengths and times are in units of the switching width, which this
 interface pins to 1.
 """
 
@@ -22,12 +24,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict
 
-from .detector_state import AssemblyError
+from .detector_state import AssemblyError, InitialState
 from .field_correlators import QuadratureError
 from .quantum_measures import measure_set, spectrum_general
 from .sweep_engine import (
+    FIGURE_PRESETS,
+    KNOBS,
     VARY_CHOICES,
     ModelParams,
     SweepError,
@@ -40,7 +44,6 @@ from .sweep_engine import (
 from .verify import run_all
 
 __all__ = [
-    "RunConfig",
     "main",
     "cmd_point",
     "cmd_sweep",
@@ -48,174 +51,106 @@ __all__ = [
     "cmd_verify",
 ]
 
-_FIGURE_CHOICES = ("fig1", "fig2", "fig3-top", "fig3-bottom", "fig4")
 
-_CONFIG_KEYS = (
-    "theta",
-    "lambda",
-    "lambda-a",
-    "lambda-b",
-    "eta",
-    "omega-a",
-    "omega-b",
-    "l",
-    "dtau",
-    "tau-a0",
-)
-
-
-class _UsageError(Exception):
-    pass
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved invocation: the full fixed-parameter point (widths
-    pinned to 1), the subcommand, and where output goes (None: stdout)."""
-
-    command: str
-    params: ModelParams
-    out: str | None = None
-
-    def __post_init__(self):
-        for f in fields(self.params):
-            v = getattr(self.params, f.name)
-            if not math.isfinite(v):
-                raise _UsageError(f"parameter {f.name} must be finite, got {v!r}")
-        if not 0.0 <= self.params.theta <= math.pi / 2.0:
-            raise _UsageError(f"theta must lie in [0, pi/2], got {self.params.theta!r}")
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"invalid finite float value: {text!r}")
+    return value
 
 
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_int=float)
     except OSError as exc:
-        raise _UsageError(f"cannot read config {path}: {exc}") from exc
+        raise ValueError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise _UsageError(f"config {path} is not valid JSON: {exc}") from exc
+        raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
-        raise _UsageError(f"config {path} must hold a JSON object")
+        raise ValueError(f"config {path} must hold a JSON object")
     for key, value in raw.items():
-        if key not in _CONFIG_KEYS:
-            raise _UsageError(f"config {path} has unknown key {key!r}")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise _UsageError(f"config {path} key {key!r} must be a number")
+        if key not in KNOBS:
+            raise ValueError(f"config {path} has unknown key {key!r}")
+        # integers are read as floats; Infinity, NaN, 1e400 and integers
+        # past the float range are read as floats that are not finite
+        if not (isinstance(value, float) and math.isfinite(value)):
+            raise ValueError(f"config {path} key {key!r} must be a finite number")
     return raw
 
 
-def _resolve_config(args) -> RunConfig:
-    cfg = _load_config(args.config) if args.config else {}
-
-    def pick(flag, key, default):
-        if flag is not None:
-            return flag
-        return float(cfg.get(key, default))
-
-    def pick2(flag, generic_flag, key, generic_key, default):
-        # specific beats generic within each layer, flags beat config
-        if flag is not None:
-            return flag
-        if generic_flag is not None:
-            return generic_flag
-        if key in cfg:
-            return float(cfg[key])
-        return float(cfg.get(generic_key, default))
-
-    eta = pick(args.eta, "eta", 1.0)
-    params = ModelParams(
-        theta=pick(args.theta, "theta", math.pi / 4.0),
-        lambda_a=pick2(args.lambda_a, args.lam, "lambda-a", "lambda", 1.0),
-        lambda_b=pick2(args.lambda_b, args.lam, "lambda-b", "lambda", 1.0),
-        eta_a=eta,
-        eta_b=eta,
-        gap_a=pick(args.omega_a, "omega-a", 1.0),
-        gap_b=pick(args.omega_b, "omega-b", 1.0),
-        separation=pick(args.l, "l", 3.0),
-        delay=pick(args.dtau, "dtau", 3.0),
-        tau_a0=pick(args.tau_a0, "tau-a0", 0.0),
-    )
-    return RunConfig(args.command, params, getattr(args, "out", None))
+def _resolve_params(args) -> ModelParams:
+    """The config entries, then the flags, each layer applied in KNOBS
+    order over the ModelParams defaults: a specific knob beats its generic
+    form within a layer, and a flag beats the config."""
+    values = {}
+    for layer in (_load_config(args.config) if args.config else {}, vars(args)):
+        for knob, (names, _) in KNOBS.items():
+            if layer.get(knob) is not None:
+                values.update(dict.fromkeys(names, layer[knob]))
+    params = ModelParams(**values)
+    InitialState(params.theta)  # raises ValueError outside [0, pi/2]
+    return params
 
 
-def cmd_point(config: RunConfig) -> int:
+def cmd_point(params: ModelParams) -> int:
     try:
-        correlators, state = point_state(config.params)
+        correlators, state = point_state(params)
     except (AssemblyError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    measures = measure_set(state)
     payload = {
         "correlators": {
-            "f_a": correlators.f_a,
-            "f_b": correlators.f_b,
-            "kappa": correlators.kappa,
-            "omega": correlators.omega,
-            "gamma": correlators.gamma,
+            k: getattr(correlators, k) for k in ("f_a", "f_b", "kappa", "omega", "gamma")
         },
         "state": {
-            "rho11": state.rho11,
-            "rho22": state.rho22,
-            "rho33": state.rho33,
-            "rho44": state.rho44,
-            "rho14": [state.rho14.real, state.rho14.imag],
-            "rho23": [state.rho23.real, state.rho23.imag],
+            k: [v.real, v.imag] if isinstance(v, complex) else v
+            for k, v in asdict(state).items()
         },
         "spectrum": list(spectrum_general(state).as_tuple()),
-        "measures": {
-            "c_l1": measures.c_l1,
-            "c_rec": measures.c_rec,
-            "negativity": measures.negativity,
-        },
+        "measures": asdict(measure_set(state)),
     }
     print(json.dumps(payload, indent=2))
     return 0
 
 
-def cmd_sweep(config: RunConfig, spec: SweepSpec) -> int:
+def _run_and_write(spec: SweepSpec, out: str | None) -> int | None:
+    """Run one sweep and write its CSV to the file out, or to stdout when
+    out is empty.  Returns the bytes written, or None once an error is
+    reported."""
     try:
         rows = run_sweep(spec)
     except (SweepError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if config.out:
-        try:
-            with open(config.out, "w", encoding="utf-8", newline="") as fh:
-                emit_csv(rows, fh)
-        except OSError as exc:
-            print(f"error: cannot write {config.out}: {exc}", file=sys.stderr)
-            return 1
-    else:
-        emit_csv(rows, sys.stdout)
-    return 0
+        return None
+    if not out:
+        return emit_csv(rows, sys.stdout)
+    try:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            return emit_csv(rows, fh)
+    except OSError as exc:
+        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+        return None
+
+
+def cmd_sweep(spec: SweepSpec, out: str | None) -> int:
+    return 1 if _run_and_write(spec, out) is None else 0
 
 
 def cmd_figures(which: str, out_dir: str) -> int:
-    try:
-        specs = figure_preset(which)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    specs = figure_preset(which)
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         print(f"error: cannot create {out_dir}: {exc}", file=sys.stderr)
         return 1
     for spec in specs:
-        try:
-            rows = run_sweep(spec)
-        except (SweepError, QuadratureError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
         path = os.path.join(out_dir, f"{spec.label}.csv")
-        try:
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                size = emit_csv(rows, fh)
-        except OSError as exc:
-            print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        size = _run_and_write(spec, path)
+        if size is None:
             return 1
         print(f"wrote {path} ({size} bytes)")
     return 0
@@ -236,16 +171,8 @@ def cmd_verify(seed: int = 0, points: int | None = None) -> int:
 
 def _add_model_flags(parser) -> None:
     g = parser.add_argument_group("model parameters")
-    g.add_argument("--theta", type=float, default=None, help="initial entanglement angle")
-    g.add_argument("--lambda", dest="lam", type=float, default=None, help="both couplings")
-    g.add_argument("--lambda-a", type=float, default=None, help="coupling of detector A")
-    g.add_argument("--lambda-b", type=float, default=None, help="coupling of detector B")
-    g.add_argument("--eta", type=float, default=None, help="switching weight of both detectors")
-    g.add_argument("--omega-a", type=float, default=None, help="energy gap of detector A")
-    g.add_argument("--omega-b", type=float, default=None, help="energy gap of detector B")
-    g.add_argument("--l", type=float, default=None, help="detector separation")
-    g.add_argument("--dtau", type=float, default=None, help="firing delay of B after A")
-    g.add_argument("--tau-a0", type=float, default=None, help="firing time of detector A")
+    for knob, (_, help_text) in KNOBS.items():
+        g.add_argument(f"--{knob}", dest=knob, type=_finite_float, help=help_text)
     g.add_argument("--config", default=None, help="JSON file with flag-named defaults")
 
 
@@ -268,7 +195,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", default=None, help="CSV path (default: stdout)")
 
     p_fig = sub.add_parser("figures", help="run a preset sweep bundle, one CSV per curve")
-    p_fig.add_argument("which", choices=_FIGURE_CHOICES, help="preset name")
+    p_fig.add_argument("which", choices=FIGURE_PRESETS, help="preset name")
     p_fig.add_argument("--out", default=".", help="output directory (default: .)")
 
     p_ver = sub.add_parser("verify", help="run the self-check battery")
@@ -288,20 +215,11 @@ def main(argv=None) -> int:
             return cmd_figures(args.which, args.out)
         if args.command == "verify":
             return cmd_verify(seed=args.seed, points=args.points)
-        config = _resolve_config(args)
+        params = _resolve_params(args)
         if args.command == "point":
-            return cmd_point(config)
-        spec = SweepSpec(
-            vary=args.vary,
-            fixed=config.params,
-            start=args.start,
-            stop=args.stop,
-            steps=args.steps,
-        )
-        return cmd_sweep(config, spec)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+            return cmd_point(params)
+        spec = SweepSpec(args.vary, params, start=args.start, stop=args.stop, steps=args.steps)
+        return cmd_sweep(spec, args.out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

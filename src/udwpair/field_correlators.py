@@ -8,11 +8,11 @@ gap phases:
 
     f_A, f_B   per-detector decay factors in (0, 1]
     kappa      vacuum expectation of the commutator of the two smeared
-               field operators (causal signalling; zero at spacelike
-               separation up to Gaussian smearing tails)
+               field operators (causal signalling; odd in the delay; zero
+               at spacelike separation up to Gaussian smearing tails)
     omega      vacuum expectation of the anticommutator (vacuum
-               correlations; nonzero even at spacelike separation, with a
-               1/L^2 tail at large separation)
+               correlations; even in the delay; nonzero even at spacelike
+               separation, with a 1/L^2 tail at large separation)
     phase_a    Omega_A tau_A0, with tau_A0 the geometry's time origin
     phase_b    Omega_B tau_B0, with tau_B0 = tau_A0 + delay
 
@@ -41,9 +41,6 @@ __all__ = [
     "PairGeometry",
     "CorrelatorSet",
     "QuadratureError",
-    "decay_factor",
-    "commutator_kappa",
-    "anticommutator_omega",
     "closed_form_correlators",
     "oracle_correlators",
 ]
@@ -145,11 +142,6 @@ class CorrelatorSet:
         return self.phase_a + self.phase_b
 
 
-def _check_sigma(sigma):
-    if not (isinstance(sigma, (int, float)) and math.isfinite(sigma)) or sigma <= 0.0:
-        raise ValueError(f"smearing width must be a positive finite number, got {sigma!r}")
-
-
 def _phases(gap_a, gap_b, time_origin, delay):
     """(phase_a, phase_b) = (Omega_A tau_A0, Omega_B (tau_A0 + delay)),
     elementwise over arrays."""
@@ -159,19 +151,6 @@ def _phases(gap_a, gap_b, time_origin, delay):
 def _decay(le):
     # le = coupling * switching_weight / sigma
     return np.exp(-le * le / (2.0 * _PI2))
-
-
-def decay_factor(d: DetectorParams, sigma: float) -> float:
-    """Per-detector decay factor exp(-lambda^2 eta^2 / (2 pi^2 sigma^2)).
-
-    Always in (0, 1]; equals 1 exactly at zero coupling.
-    """
-    _check_sigma(sigma)
-    return float(_decay(d.coupling * d.switching_weight / sigma))
-
-
-def _coupling_product(a, b):
-    return a.coupling * b.coupling * a.switching_weight * b.switching_weight
 
 
 def _kappa_direct(cprod, sep, delay, sigma):
@@ -190,17 +169,6 @@ def _kappa_small_l(cprod, sep, delay, sigma):
     n3 = 2.0 * (3.0 * delay / (s2 * s2) - delay**3 / (s2 * s2 * s2)) * gauss
     pref = cprod / (4.0 * _PI2 * sigma) * math.sqrt(math.pi / 2.0)
     return pref * (n1 + n3 * sep * sep / 6.0)
-
-
-def commutator_kappa(a: DetectorParams, b: DetectorParams, g: PairGeometry) -> float:
-    """Commutator correlator of the two smeared field operators.
-
-    Odd in the delay, exactly proportional to the product of couplings and
-    switching weights, and Gaussian-suppressed once |delay| and separation
-    part ways.  Below separation = 1e-4 sigma the vanishing-numerator /
-    vanishing-denominator closed form is replaced by its series limit.
-    """
-    return float(_kappa(_coupling_product(a, b), g.separation, g.delay, g.smearing_width))
 
 
 def _omega_direct(cprod, sep, delay, sigma):
@@ -233,34 +201,16 @@ def _near_or_far(near, far, cprod, sep, delay, sigma):
     return out
 
 
-def _kappa(cprod, sep, delay, sigma):
-    return _near_or_far(_kappa_small_l, _kappa_direct, cprod, sep, delay, sigma)
-
-
-def _omega(cprod, sep, delay, sigma):
-    return _near_or_far(_omega_small_l, _omega_direct, cprod, sep, delay, sigma)
-
-
 def _correlators(lam_a, eta_a, lam_b, eta_b, sep, delay, sigma):
     """(f_a, f_b, kappa, omega) elementwise over arrays: the kernel behind
-    the closed-form scalar functions."""
+    closed_form_correlators and the sweeps."""
     cprod = lam_a * lam_b * eta_a * eta_b
     return (
         _decay(lam_a * eta_a / sigma),
         _decay(lam_b * eta_b / sigma),
-        _kappa(cprod, sep, delay, sigma),
-        _omega(cprod, sep, delay, sigma),
+        _near_or_far(_kappa_small_l, _kappa_direct, cprod, sep, delay, sigma),
+        _near_or_far(_omega_small_l, _omega_direct, cprod, sep, delay, sigma),
     )
-
-
-def anticommutator_omega(a: DetectorParams, b: DetectorParams, g: PairGeometry) -> float:
-    """Anticommutator correlator (vacuum correlation part).
-
-    Even in the delay.  Unlike the commutator it decays only like
-    1/(separation^2 - delay^2) at large separation, because the two Dawson
-    tails add rather than cancel.
-    """
-    return float(_omega(_coupling_product(a, b), g.separation, g.delay, g.smearing_width))
 
 
 def closed_form_correlators(
@@ -343,7 +293,7 @@ def oracle_correlators(a: DetectorParams, b: DetectorParams, g: PairGeometry) ->
     s = g.smearing_width
     sep, delay = g.separation, g.delay
     kmax = _KMAX_OVER_SIGMA / s
-    cprod = _coupling_product(a, b)
+    cprod = a.coupling * b.coupling * a.switching_weight * b.switching_weight
 
     def damped(k):
         return k * math.exp(-0.5 * (s * k) ** 2)

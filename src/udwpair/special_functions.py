@@ -1,4 +1,4 @@
-"""Dawson function and imaginary error function.
+"""Dawson function.
 
 The anticommutator correlator of a Gaussian-smeared detector pair needs
 D(x) = (sqrt(pi)/2) exp(-x^2) erfi(x) at close to machine precision over a
@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-__all__ = ["dawson", "erfi"]
+__all__ = ["dawson"]
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -74,17 +74,3 @@ def dawson(x):
     out = _dawson(arr)
     return float(out) if out.ndim == 0 else out
 
-
-def erfi(x: float) -> float:
-    """Imaginary error function for real arguments.
-
-    Computed as (2/sqrt(pi)) exp(x^2) D(x), consistent with dawson() to
-    better than 1e-12 relative.  exp(x^2) passes the top of the double
-    range just above |x| = 26.6, so |x| > 25 raises OverflowError instead
-    of silently returning inf.
-    """
-    if not math.isfinite(x):
-        raise ValueError(f"erfi: non-finite argument {x!r}")
-    if abs(x) > 25.0:
-        raise OverflowError(f"erfi: |x| > 25 overflows double precision (x={x!r})")
-    return (2.0 / _SQRT_PI) * math.exp(x * x) * dawson(x)

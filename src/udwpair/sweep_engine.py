@@ -9,7 +9,7 @@ presets are defined.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -36,6 +36,8 @@ __all__ = [
     "SweepSpec",
     "SweepRow",
     "SweepError",
+    "KNOBS",
+    "FIGURE_PRESETS",
     "VARY_CHOICES",
     "CSV_HEADER",
     "detector_pair",
@@ -46,15 +48,51 @@ __all__ = [
     "emit_csv",
 ]
 
-# The ModelParams fields each sweep knob sets.
-_VARY_FIELDS = {
-    "l": ("separation",),
-    "dtau": ("delay",),
-    "lambda": ("lambda_a", "lambda_b"),
-    "omega-b": ("gap_b",),
+# Every model knob, named as on the command line: the ModelParams fields it
+# sets and its help text.  A generic knob comes before its specific forms,
+# so that applying the knobs in this order lets the specific form win.
+KNOBS = {
+    "theta": (("theta",), "initial entanglement angle"),
+    "lambda": (("lambda_a", "lambda_b"), "both couplings"),
+    "lambda-a": (("lambda_a",), "coupling of detector A"),
+    "lambda-b": (("lambda_b",), "coupling of detector B"),
+    "eta": (("eta_a", "eta_b"), "switching weight of both detectors"),
+    "omega-a": (("gap_a",), "energy gap of detector A"),
+    "omega-b": (("gap_b",), "energy gap of detector B"),
+    "l": (("separation",), "detector separation"),
+    "dtau": (("delay",), "firing delay of B after A"),
+    "tau-a0": (("tau_a0",), "firing time of detector A"),
 }
 
-VARY_CHOICES = tuple(_VARY_FIELDS)
+
+def _regimes(prefix: str, **fixed) -> list:
+    # the lightlike (L = 3) and spacelike (L = 5) curves at delay 3
+    return [
+        (f"{prefix}{tag}", {**fixed, "separation": l, "delay": 3.0})
+        for tag, l in (("lightlike", 3.0), ("spacelike", 5.0))
+    ]
+
+
+# The survey figures: preset name -> (swept knob, start, stop, curves), each
+# curve a (label, ModelParams overrides) pair.  The labels name the CSV
+# files, which are written in this order.
+FIGURE_PRESETS = {
+    "fig1": ("l", 0.1, 10.0, [(f"fig1_dtau{dt:g}", {"delay": dt}) for dt in (0.0, 2.0, 4.0)]),
+    "fig2": ("dtau", -10.0, 10.0, [(f"fig2_l{l:g}", {"separation": l}) for l in (1.0, 3.0, 5.0)]),
+    "fig3-top": ("lambda", 0.0, 12.0, _regimes("fig3_")),
+    "fig3-bottom": (
+        "lambda",
+        0.0,
+        12.0,
+        _regimes("fig3_theta0_", theta=0.0) + _regimes("fig3_theta90_", theta=math.pi / 2.0),
+    ),
+    "fig4": ("omega-b", 0.0, 4.0, _regimes("fig4_")),
+}
+
+_PRESET_STEPS = 401
+
+# A sweep may vary the knobs that the figure presets sweep.
+VARY_CHOICES = tuple(dict.fromkeys(vary for vary, *_ in FIGURE_PRESETS.values()))
 
 
 class SweepError(RuntimeError):
@@ -121,9 +159,6 @@ class SweepRow(NamedTuple):
     c_l1: float
     c_rec: float
     negativity: float
-
-    def astuple(self):
-        return tuple(self)
 
 
 CSV_HEADER = ",".join(("vary", *SweepRow._fields[1:]))
@@ -257,7 +292,7 @@ def run_sweep(spec: SweepSpec) -> list:
     values = spec.start + span * np.arange(spec.steps) / (spec.steps - 1)
     values[-1] = spec.stop  # exact endpoint regardless of rounding
     fixed = {k: np.full(spec.steps, v, dtype=float) for k, v in vars(spec.fixed).items()}
-    p = ModelParams(**(fixed | dict.fromkeys(_VARY_FIELDS[spec.vary], values)))
+    p = ModelParams(**(fixed | dict.fromkeys(KNOBS[spec.vary][0], values)))
     ok, columns = _columns(p)
     found = _failure(p, ok)
     if found is not None:
@@ -266,74 +301,15 @@ def run_sweep(spec: SweepSpec) -> list:
     return _rows(values, columns)
 
 
-_PRESET_STEPS = 401
-
-
 def figure_preset(which: str) -> list:
-    """Named sweep bundles reproducing the survey figures."""
-    base = ModelParams()
-    if which == "fig1":
-        return [
-            SweepSpec(
-                "l",
-                replace(base, delay=dt),
-                label=f"fig1_dtau{dt:g}",
-                start=0.1,
-                stop=10.0,
-                steps=_PRESET_STEPS,
-            )
-            for dt in (0.0, 2.0, 4.0)
-        ]
-    if which == "fig2":
-        return [
-            SweepSpec(
-                "dtau",
-                replace(base, separation=l),
-                label=f"fig2_l{l:g}",
-                start=-10.0,
-                stop=10.0,
-                steps=_PRESET_STEPS,
-            )
-            for l in (1.0, 3.0, 5.0)
-        ]
-    if which == "fig3-top":
-        return [
-            SweepSpec(
-                "lambda",
-                replace(base, separation=l, delay=dt),
-                label=f"fig3_{tag}",
-                start=0.0,
-                stop=12.0,
-                steps=_PRESET_STEPS,
-            )
-            for tag, l, dt in (("lightlike", 3.0, 3.0), ("spacelike", 5.0, 3.0))
-        ]
-    if which == "fig3-bottom":
-        return [
-            SweepSpec(
-                "lambda",
-                replace(base, theta=th, separation=l, delay=3.0),
-                label=f"fig3_theta{tag}_{reg}",
-                start=0.0,
-                stop=12.0,
-                steps=_PRESET_STEPS,
-            )
-            for tag, th in (("0", 0.0), ("90", math.pi / 2.0))
-            for reg, l in (("lightlike", 3.0), ("spacelike", 5.0))
-        ]
-    if which == "fig4":
-        return [
-            SweepSpec(
-                "omega-b",
-                replace(base, separation=l, delay=3.0),
-                label=f"fig4_{tag}",
-                start=0.0,
-                stop=4.0,
-                steps=_PRESET_STEPS,
-            )
-            for tag, l in (("lightlike", 3.0), ("spacelike", 5.0))
-        ]
-    raise ValueError(f"unknown figure preset {which!r}")
+    """The sweeps of one survey figure, in FIGURE_PRESETS order."""
+    if which not in FIGURE_PRESETS:
+        raise ValueError(f"unknown figure preset {which!r}")
+    vary, start, stop, curves = FIGURE_PRESETS[which]
+    return [
+        SweepSpec(vary, ModelParams(**fixed), label, start, stop, _PRESET_STEPS)
+        for label, fixed in curves
+    ]
 
 
 _ROW_FORMAT = ",".join(["%.17g"] * len(SweepRow._fields))

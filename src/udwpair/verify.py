@@ -22,7 +22,7 @@ from .quantum_measures import (
     negativity_full,
     spectrum_closed,
 )
-from .special_functions import _dawson, erfi
+from .special_functions import _dawson
 from .sweep_engine import ModelParams, _batch_states, _stack, detector_pair
 
 __all__ = ["CheckResult", "random_model_params", "run_all"]
@@ -33,8 +33,11 @@ class CheckResult:
     name: str
     worst: float
     tolerance: float
-    passed: bool
     detail: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return self.worst <= self.tolerance
 
 
 # (x, D(x)) reference pairs spanning the evaluator's working range.
@@ -57,8 +60,6 @@ _DAWSON_TABLE = (
     (28.0, 0.0178685532000919460869),
     (40.0, 0.0125039099178439731993),
 )
-
-_ERFI_ONE = 1.650425758797542876
 
 
 def random_model_params(
@@ -103,14 +104,12 @@ def _check_dawson() -> CheckResult:
     worst = max(
         float(np.max(np.abs(d - refs) / refs)),
         float(np.max(np.abs(_dawson(-xs) + d) / refs)),
-        abs(erfi(1.0) - _ERFI_ONE) / _ERFI_ONE,
     )
     return CheckResult(
         "dawson-reference",
         worst,
         1e-12,
-        worst <= 1e-12,
-        f"{len(_DAWSON_TABLE)} tabulated points, oddness, erfi(1)",
+        f"{len(_DAWSON_TABLE)} tabulated points, oddness",
     )
 
 
@@ -131,7 +130,6 @@ def _check_correlators(rng: random.Random, points: int) -> CheckResult:
         "correlators-vs-quadrature",
         worst,
         1e-6,
-        worst <= 1e-6,
         f"{points} random draws, scaled error",
     )
 
@@ -148,7 +146,6 @@ def _check_assembly(rng: random.Random, points: int) -> CheckResult:
         "assembly-dual-route",
         worst,
         1e-12,
-        worst <= 1e-12,
         f"{points} random draws with random time origins",
     )
 
@@ -164,7 +161,6 @@ def _check_spectrum(rng: random.Random, points: int) -> CheckResult:
         "spectrum-dual-route",
         worst,
         1e-12,
-        worst <= 1e-12,
         f"{points} random draws",
     )
 
@@ -184,7 +180,6 @@ def _check_physicality(rng: random.Random, points: int) -> CheckResult:
         "physicality",
         worst,
         1.0,
-        worst <= 1.0,
         f"{points} draws; |trace-1|/1e-12 and eigenvalue dip/1e-10",
     )
 
@@ -207,14 +202,16 @@ def _check_negativity(rng: random.Random, points: int) -> CheckResult:
         "negativity-dual-route",
         worst,
         1e-12,
-        worst <= 1e-12,
         f"{points} draws, {exceptions} disagreements",
     )
 
 
 def run_all(seed: int = 0, points: int | None = None) -> list:
-    """Run every self-check.  points overrides the per-check draw counts
-    (the Dawson table check has no sampling and ignores it)."""
+    """Run every self-check.  points, if given, must be at least 1 and
+    overrides the per-check draw counts (the Dawson table check has no
+    sampling and ignores it)."""
+    if points is not None and points < 1:
+        raise ValueError(f"points must be at least 1, got {points!r}")
     rng = random.Random(seed)
     return [
         _check_dawson(),

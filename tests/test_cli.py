@@ -7,8 +7,11 @@ import sys
 import pytest
 
 import udwpair
-from udwpair import CSV_HEADER, ModelParams, evaluate_point
+from udwpair import CSV_HEADER, ModelParams, evaluate_point, figure_preset
 from udwpair.cli import main
+from udwpair.sweep_engine import FIGURE_PRESETS
+
+_SWEEP = ["sweep", "--vary", "dtau", "--from", "0", "--to", "1", "--steps", "3"]
 
 
 def _fresh_python(*args):
@@ -46,18 +49,51 @@ def test_point_bad_theta_is_usage_error(capsys):
     assert "theta" in capsys.readouterr().err
 
 
+def _decay(x):
+    # f_j at lambda_j * eta_j = x and unit width
+    return math.exp(-x * x / (2.0 * math.pi ** 2))
+
+
 def test_config_resolution_order(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"lambda": 3.0, "l": 5.0}))
-    assert main(["point", "--config", str(cfg), "--lambda-a", "1"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    # flag --lambda-a beats config "lambda" for A; B falls back to config
-    assert payload["correlators"]["f_a"] == pytest.approx(
-        math.exp(-1.0 / (2.0 * math.pi ** 2)), rel=1e-15
-    )
-    assert payload["correlators"]["f_b"] == pytest.approx(
-        math.exp(-9.0 / (2.0 * math.pi ** 2)), rel=1e-15
-    )
+    cases = [
+        # flag --lambda-a beats config "lambda" for A; B falls back to config
+        ({"lambda": 3.0, "l": 5.0}, ["--lambda-a", "1"], {"f_a": _decay(1.0), "f_b": _decay(3.0)}),
+        # a generic flag beats a specific config entry
+        ({"lambda-b": 0.5}, ["--lambda", "2"], {"f_a": _decay(2.0), "f_b": _decay(2.0)}),
+        ({"eta": 0.5}, ["--eta", "2"], {"f_a": _decay(2.0), "f_b": _decay(2.0)}),
+        # gamma = omega_b * (tau_a0 + dtau) = 3 omega_b at the defaults
+        ({"omega-b": 2.0}, ["--omega-b", "3"], {"gamma": 9.0}),
+    ]
+    for config, flags, want in cases:
+        cfg.write_text(json.dumps(config))
+        assert main(["point", "--config", str(cfg), *flags]) == 0
+        got = json.loads(capsys.readouterr().out)["correlators"]
+        for key, value in want.items():
+            assert got[key] == pytest.approx(value, rel=1e-15)
+
+
+def test_config_rejects_non_finite_value(tmp_path, capsys):
+    # json reads Infinity and 1e400 as inf; the error names the key
+    cfg = tmp_path / "cfg.json"
+    for text in ('{"l": Infinity}', '{"l": 1e400}'):
+        cfg.write_text(text)
+        assert main(["point", "--config", str(cfg)]) == 2
+        assert "'l'" in capsys.readouterr().err
+
+
+def test_bad_knob_values_are_usage_errors(capsys):
+    # without the flag and theta checks a sweep would fail at its first
+    # grid point with exit 1
+    for argv, named in (
+        (_SWEEP + ["--l", "inf"], "--l"),
+        (_SWEEP + ["--theta", "9"], "theta"),
+        (["point", "--lambda", "nan"], "--lambda"),
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert named in captured.err
 
 
 def test_config_rejects_unknown_key(tmp_path, capsys):
@@ -170,6 +206,15 @@ def test_figures_split_presets(tmp_path, capsys):
     assert names == ["fig3_lightlike.csv", "fig3_spacelike.csv"]
 
 
+def test_figures_offers_exactly_the_presets(capsys):
+    offered = ("fig1", "fig2", "fig3-top", "fig3-bottom", "fig4")
+    assert main(["figures", "--help"]) == 0
+    assert "{%s}" % ",".join(offered) in capsys.readouterr().out
+    assert tuple(FIGURE_PRESETS) == offered
+    for name in offered:
+        assert figure_preset(name)
+
+
 def test_figures_unknown_preset_exits_2():
     assert main(["figures", "fig9"]) == 2
 
@@ -195,6 +240,14 @@ def test_verify_passes_for_any_seed(capsys):
     assert main(["verify", "--points", "25", "--seed", "42"]) == 0
     assert main(["verify", "--points", "25", "--seed", "43"]) == 0
     capsys.readouterr()
+
+
+def test_verify_rejects_non_positive_points(capsys):
+    for points in ("-5", "0"):
+        assert main(["verify", "--points", points]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "points must be at least 1" in captured.err
 
 
 def test_point_accepts_a_large_time_origin(capsys):

@@ -10,10 +10,7 @@ from udwpair import (
     ModelParams,
     PairGeometry,
     QuadratureError,
-    anticommutator_omega,
     closed_form_correlators,
-    commutator_kappa,
-    decay_factor,
     detector_pair,
     oracle_correlators,
     point_state,
@@ -41,64 +38,65 @@ def _pair(l, dtau, lam_a=1.0, lam_b=1.0, eta=1.0):
     return a, b, PairGeometry(l, dtau, 1.0)
 
 
+def _closed(l, dtau, **couplings):
+    return closed_form_correlators(*_pair(l, dtau, **couplings))
+
+
+def _f_a(d: DetectorParams, sigma: float) -> float:
+    return closed_form_correlators(d, A_UNIT, PairGeometry(3.0, 3.0, sigma)).f_a
+
+
 def test_decay_factor_frozen_values():
     # exp(-1 / (2 pi^2)) and exp(-100 / (2 pi^2))
-    assert decay_factor(A_UNIT, 1.0) == pytest.approx(0.95060125762662669656, rel=1e-15)
+    assert _f_a(A_UNIT, 1.0) == pytest.approx(0.95060125762662669656, rel=1e-15)
     strong = DetectorParams(5.0, 2.0, 1.0)
-    assert decay_factor(strong, 1.0) == pytest.approx(0.0063072268617218033262, rel=1e-14)
+    assert _f_a(strong, 1.0) == pytest.approx(0.0063072268617218033262, rel=1e-14)
     off = DetectorParams(0.0, 1.0, 1.0)
-    assert decay_factor(off, 1.0) == 1.0
+    assert _f_a(off, 1.0) == 1.0
 
 
 def test_decay_factor_width_scaling():
     # only the ratio (coupling * weight) / width enters
-    assert decay_factor(A_UNIT, 2.0) == decay_factor(DetectorParams(0.5, 1.0, 1.0), 1.0)
+    assert _f_a(A_UNIT, 2.0) == _f_a(DetectorParams(0.5, 1.0, 1.0), 1.0)
 
 
 def test_sigma_validation():
-    with pytest.raises(ValueError):
-        decay_factor(A_UNIT, 0.0)
-    with pytest.raises(ValueError):
-        decay_factor(A_UNIT, -1.0)
+    for sigma in (0.0, -1.0):
+        with pytest.raises(ValueError, match="smearing_width"):
+            PairGeometry(3.0, 3.0, sigma)
 
 
 def test_kappa_frozen_values():
-    a, b, g = _pair(3.0, 3.0)
-    assert commutator_kappa(a, b, g) == pytest.approx(KAPPA_L3_DT3, rel=1e-13)
-    a, b, g = _pair(1.0, 2.0)
-    assert commutator_kappa(a, b, g) == pytest.approx(KAPPA_L1_DT2, rel=1e-13)
+    assert _closed(3.0, 3.0).kappa == pytest.approx(KAPPA_L3_DT3, rel=1e-13)
+    assert _closed(1.0, 2.0).kappa == pytest.approx(KAPPA_L1_DT2, rel=1e-13)
 
 
 def test_omega_frozen_values():
-    a, b, g = _pair(3.0, 3.0)
-    assert anticommutator_omega(a, b, g) == pytest.approx(OMEGA_L3_DT3, rel=1e-13)
-    a, b, g = _pair(1.0, 2.0)
-    assert anticommutator_omega(a, b, g) == pytest.approx(OMEGA_L1_DT2, rel=1e-13)
+    assert _closed(3.0, 3.0).omega == pytest.approx(OMEGA_L3_DT3, rel=1e-13)
+    assert _closed(1.0, 2.0).omega == pytest.approx(OMEGA_L1_DT2, rel=1e-13)
 
 
 def test_coupling_prefactor_is_linear():
     # the product lambda_A lambda_B eta_A eta_B multiplies both scalars;
     # doubling one coupling is a power-of-two scaling, hence exact
-    a1, b1, g = _pair(3.0, 3.0)
-    a2, b2, _ = _pair(3.0, 3.0, lam_a=2.0)
-    assert commutator_kappa(a2, b2, g) == 2.0 * commutator_kappa(a1, b1, g)
-    assert anticommutator_omega(a2, b2, g) == 2.0 * anticommutator_omega(a1, b1, g)
+    one, two = _closed(3.0, 3.0), _closed(3.0, 3.0, lam_a=2.0)
+    assert two.kappa == 2.0 * one.kappa
+    assert two.omega == 2.0 * one.omega
 
 
 def test_delay_parity():
     # kappa flips sign with the firing order, omega does not
     for l in (0.5, 3.0, 7.0):
         for dtau in (0.5, 2.0, 6.0):
-            ap, bp, gp = _pair(l, dtau)
-            am, bm, gm = _pair(l, -dtau)
-            assert commutator_kappa(am, bm, gm) == -commutator_kappa(ap, bp, gp)
-            assert anticommutator_omega(am, bm, gm) == anticommutator_omega(ap, bp, gp)
+            plus, minus = _closed(l, dtau), _closed(l, -dtau)
+            assert minus.kappa == -plus.kappa
+            assert minus.omega == plus.omega
 
 
 def test_zero_coupling_kills_cross_terms():
-    a, b, g = _pair(3.0, 3.0, lam_a=0.0)
-    assert commutator_kappa(a, b, g) == 0.0
-    assert anticommutator_omega(a, b, g) == 0.0
+    c = _closed(3.0, 3.0, lam_a=0.0)
+    assert c.kappa == 0.0
+    assert c.omega == 0.0
 
 
 def test_phase_gamma():
@@ -137,26 +135,21 @@ def test_short_distance_branch_continuity():
 
 
 def test_coincident_detectors_have_finite_correlators():
-    a, b, g = _pair(0.0, 2.0)
-    k = commutator_kappa(a, b, g)
-    w = anticommutator_omega(a, b, g)
-    assert math.isfinite(k) and math.isfinite(w)
+    c = _closed(0.0, 2.0)
+    assert math.isfinite(c.kappa) and math.isfinite(c.omega)
     # the L -> 0 limit of the direct formula, one part in 1e8 above the branch
-    near = PairGeometry(1e-8, 2.0, 1.0)
-    assert commutator_kappa(a, b, near) == pytest.approx(k, rel=1e-9)
+    assert _closed(1e-8, 2.0).kappa == pytest.approx(c.kappa, rel=1e-9)
 
 
 def test_large_separation_decay():
     # kappa underflows to exactly zero at L = 50 widths; omega follows a
     # power tail -C / (pi^2 (L^2 - dtau^2)) instead of dying
     for dtau in (0.0, 2.0, 4.0):
-        a, b, g = _pair(50.0, dtau)
-        assert commutator_kappa(a, b, g) == 0.0
+        c = _closed(50.0, dtau)
+        assert c.kappa == 0.0
         tail = -1.0 / (math.pi ** 2 * (50.0 ** 2 - dtau ** 2))
-        assert anticommutator_omega(a, b, g) == pytest.approx(tail, rel=1e-3)
-    a, b, g = _pair(50.0, 0.0)
-    a2, b2, g2 = _pair(100.0, 0.0)
-    ratio = anticommutator_omega(a, b, g) / anticommutator_omega(a2, b2, g2)
+        assert c.omega == pytest.approx(tail, rel=1e-3)
+    ratio = _closed(50.0, 0.0).omega / _closed(100.0, 0.0).omega
     assert ratio == pytest.approx(4.0, rel=0.05)
 
 

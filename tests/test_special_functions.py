@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from udwpair import dawson, erfi
+from udwpair import dawson
 from udwpair.special_functions import _FAR_EDGE, _NEAR_EDGE
 
 from conftest import dawson_reference
@@ -104,26 +104,3 @@ def test_nonfinite_rejected():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             dawson(bad)
-        with pytest.raises(ValueError):
-            erfi(bad)
-
-
-def test_erfi_value_and_oddness():
-    assert erfi(1.0) == pytest.approx(1.650425758797542876, rel=1e-13)
-    assert erfi(0.0) == 0.0
-    for x in (0.3, 2.0, 10.0):
-        assert erfi(-x) == -erfi(x)
-
-
-def test_erfi_consistency_with_dawson():
-    for x in (0.25, 1.0, 3.0, 8.0):
-        lhs = erfi(x) * math.exp(-x * x) * math.sqrt(math.pi) / 2.0
-        assert lhs == pytest.approx(dawson(x), rel=1e-13)
-
-
-def test_erfi_overflow_policy():
-    assert math.isfinite(erfi(25.0))
-    with pytest.raises(OverflowError):
-        erfi(25.0000001)
-    with pytest.raises(OverflowError):
-        erfi(-26.0)

@@ -28,7 +28,7 @@ def test_detector_pair_timing():
 
 def test_evaluate_point_field_count():
     row = evaluate_point(ModelParams())
-    assert len(row.astuple()) == len(CSV_HEADER.split(","))
+    assert len(row) == len(CSV_HEADER.split(","))
 
 
 def test_grid_hits_endpoints_exactly():
@@ -104,10 +104,21 @@ def test_figure_presets_shape():
     assert [(s.fixed.separation, s.fixed.delay) for s in top] == [(3.0, 3.0), (5.0, 3.0)]
     assert all(s.fixed.theta == math.pi / 4.0 for s in top)
 
+    # the labels name the CSV files, so their order is pinned
     bottom = figure_preset("fig3-bottom")
-    assert len(bottom) == 4
-    assert {s.fixed.theta for s in bottom} == {0.0, math.pi / 2.0}
-    assert {s.fixed.separation for s in bottom} == {3.0, 5.0}
+    assert [s.label for s in bottom] == [
+        "fig3_theta0_lightlike",
+        "fig3_theta0_spacelike",
+        "fig3_theta90_lightlike",
+        "fig3_theta90_spacelike",
+    ]
+    assert [(s.fixed.theta, s.fixed.separation, s.fixed.delay) for s in bottom] == [
+        (0.0, 3.0, 3.0),
+        (0.0, 5.0, 3.0),
+        (math.pi / 2.0, 3.0, 3.0),
+        (math.pi / 2.0, 5.0, 3.0),
+    ]
+    assert all(s.vary == "lambda" and (s.start, s.stop) == (0.0, 12.0) for s in bottom)
 
     fig4 = figure_preset("fig4")
     assert [s.label for s in fig4] == ["fig4_lightlike", "fig4_spacelike"]
@@ -133,7 +144,7 @@ def test_csv_header_and_roundtrip():
     assert text.endswith("\n")
     for line, row in zip(lines[1:], rows):
         parsed = [float(tok) for tok in line.split(",")]
-        assert tuple(parsed) == row.astuple()  # 17 digits round-trip losslessly
+        assert tuple(parsed) == row  # 17 digits round-trip losslessly
 
 
 def test_csv_requires_rows():
