@@ -36,6 +36,7 @@ from .sweep_engine import (
     ModelParams,
     SweepError,
     SweepSpec,
+    detector_pair,
     emit_csv,
     figure_preset,
     point_state,
@@ -85,13 +86,16 @@ def _load_config(path: str) -> dict:
 def _resolve_params(args) -> ModelParams:
     """The config entries, then the flags, each layer applied in KNOBS
     order over the ModelParams defaults: a specific knob beats its generic
-    form within a layer, and a flag beats the config."""
+    form within a layer, and a flag beats the config.  The containers of
+    detector_pair check the signs, so a bad fixed flag of a sweep is a
+    usage error before any grid point runs."""
     values = {}
     for layer in (_load_config(args.config) if args.config else {}, vars(args)):
         for knob, (names, _) in KNOBS.items():
             if layer.get(knob) is not None:
                 values.update(dict.fromkeys(names, layer[knob]))
     params = ModelParams(**values)
+    detector_pair(params)
     InitialState(params.theta)  # raises ValueError outside [0, pi/2]
     return params
 

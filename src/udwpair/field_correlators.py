@@ -19,9 +19,11 @@ gap phases:
 The rho14 phase is gamma = phase_a + phase_b and the rho23 phase is
 phase_a - phase_b.  The four field scalars are computed two independent
 ways: closed forms built on the Dawson function, and a radial
-momentum-space quadrature oracle.  The test suite holds the two routes
-against each other to 1e-6 relative.  The closed forms run elementwise
-over numpy arrays (the sweeps evaluate whole grids at once); the public
+momentum-space quadrature oracle (Gauss-Legendre panels in k, and a
+rotated contour once the separation or delay spans many widths).  The
+test suite and verify hold the two routes against each other to 1e-6
+relative.  Both run elementwise over numpy arrays (the sweeps evaluate
+whole grids at once, verify whole batches of draws); the public
 functions evaluate one detector pair.
 
 Conventions: the smearing profile F(x) = (sqrt(pi) sigma)^(-3) exp(-x^2/sigma^2)
@@ -29,6 +31,7 @@ transforms to F~(k) = (2 pi)^(-3/2) exp(-sigma^2 k^2 / 4) (symmetric Fourier
 convention), which is what pins f_j = exp(-lambda_j^2 eta_j^2 / (2 pi^2 sigma^2)).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -51,16 +54,23 @@ _PI2 = math.pi * math.pi
 # by L; switch to the series expansion of the numerator instead.
 _SMALL_L_FRACTION = 1e-4
 
-# Quadrature controls.  exp(-(sigma k)^2/2) < 1e-18 past k = 9.1/sigma, so the
-# truncated tail is invisible at the 1e-13 target accuracy.
+# Oracle controls.  exp(-(sigma k)^2/2) < 1e-18 past k = 9.1/sigma, so the
+# truncated tail is invisible at the 1e-13 target accuracy.  A draw that
+# needs more than _MAX_PANELS k-space panels moves to the rotated contour,
+# whose geometric panels stop where its integrand is below exp(-40).
 _KMAX_OVER_SIGMA = 9.1
-_QUAD_TOL = 1e-13
+_ENVELOPE_PANELS = math.ceil(_KMAX_OVER_SIGMA)
+_MAX_PANELS = 256
+_K_NODES = 8
+_ROTATED_NODES = 16
+_ROTATED_EDGES = np.array([0.0, 1.0 / 27.0, 1.0 / 9.0, 1.0 / 3.0, 1.0])
+_ROTATED_CUT = 80.0
 _QUAD_ERROR_CEILING = 1e-9
-_MAX_BREAKPOINTS = 180
+_INTEGRALS = ("decay-factor", "commutator", "anticommutator")
 
 
 class QuadratureError(RuntimeError):
-    """The adaptive quadrature could not certify the requested accuracy."""
+    """The quadrature oracle could not certify the requested accuracy."""
 
 
 def _require_finite(obj, name, value):
@@ -230,46 +240,111 @@ def closed_form_correlators(
     return CorrelatorSet(*(float(v) for v in values), *phases)
 
 
-def _sinc(x):
-    # sin(x)/x with the removable singularity filled by its Taylor step
-    if abs(x) < 1e-8:
-        return 1.0 - x * x / 6.0
-    return math.sin(x) / x
-
-
-def _oscillation_breakpoints(sep, delay, kmax):
-    scale = max(sep, abs(delay))
-    if scale <= 0.0:
-        return []
-    step = math.pi / scale
-    pts = []
-    n = 1
-    while n * step < kmax and n <= _MAX_BREAKPOINTS:
-        pts.append(n * step)
-        n += 1
-    return pts
-
-
-def _radial_quad(integrand, kmax, breakpoints, what):
-    from scipy.integrate import quad  # oracle only, so importing udwpair needs no scipy
-
-    res = quad(
-        integrand,
-        0.0,
-        kmax,
-        points=breakpoints or None,
-        limit=max(len(breakpoints) + 50, 200),
-        epsabs=_QUAD_TOL,
-        epsrel=_QUAD_TOL,
-        full_output=1,
+@functools.cache
+def _gauss_legendre(n):
+    """(nodes on [0, 1], weights) of the n-node and 2n-node Gauss-Legendre
+    rules; the difference of their results is the error estimate.  Built
+    on first use, so importing udwpair does not load numpy.polynomial."""
+    return tuple(
+        (0.5 * (x + 1.0), 0.5 * w) for x, w in map(np.polynomial.legendre.leggauss, (n, 2 * n))
     )
-    value, abserr = res[0], res[1]
-    if len(res) > 3 or abserr > _QUAD_ERROR_CEILING:
-        message = res[3] if len(res) > 3 else "error estimate above ceiling"
-        raise QuadratureError(
-            f"{what}: estimated error {abserr:.3e} (ceiling {_QUAD_ERROR_CEILING:.0e}); {message}"
+
+
+def _panels(sep, delay, sigma):
+    # each panel spans at most half a period of the fastest oscillation,
+    # k (L + |dt|) = pi, and at most one envelope width 1/sigma
+    oscillation = np.ceil(_KMAX_OVER_SIGMA * (sep + np.abs(delay)) / (np.pi * sigma))
+    return np.maximum(oscillation, _ENVELOPE_PANELS)
+
+
+def _kspace(sep, delay, sigma):
+    """[I_f, I_kappa, I_omega] and their error estimates, over 1-D arrays:
+    Gauss-Legendre panels on [0, 9.1/sigma], every draw's panels laid end
+    to end in one array."""
+    panels = _panels(sep, delay, sigma).astype(int)
+    owner = np.repeat(np.arange(sep.size), panels)  # the draw of each panel
+    width = (_KMAX_OVER_SIGMA / sigma / panels)[owner]
+    left = (np.arange(owner.size) - (np.cumsum(panels) - panels)[owner]) * width
+    s, l, d = (v[owner, None] for v in (sigma, sep, delay))
+    sums = []
+    for x, w in _gauss_legendre(_K_NODES):
+        k = left[:, None] + width[:, None] * x
+        damped = k * np.exp(-0.5 * (s * k) ** 2)
+        radial = damped * np.sinc(k * l / np.pi)  # sinc(kL), 1 at L = 0
+        integrands = (damped, radial * np.sin(k * d), radial * np.cos(k * d))
+        sums.append(np.array([np.bincount(owner, width * (f @ w), sep.size) for f in integrands]))
+    return sums[1], np.abs(sums[1] - sums[0])
+
+
+def _sine_transform(a, rule):
+    """int_0^inf exp(-k^2/2) sin(a k) dk = int_0^|a| exp(s^2/2 - |a| s) ds,
+    odd in a, by one Gauss-Legendre rule on geometric panels.  The
+    integrand is below exp(-s |a| / 2), so the range stops at
+    s = _ROTATED_CUT / |a| when that comes first."""
+    m = np.abs(a)
+    with np.errstate(divide="ignore"):
+        top = np.minimum(m, _ROTATED_CUT / m)
+    edges = top[..., None] * _ROTATED_EDGES
+    widths = np.diff(edges)
+    x, w = rule
+    s = edges[..., :-1, None] + widths[..., None] * x
+    total = (np.exp(s * (0.5 * s - m[..., None, None])) @ w * widths).sum(axis=-1)
+    return np.copysign(total, a)
+
+
+def _rotated(sep, delay, sigma):
+    """[I_kappa, I_omega] and their error estimates, over 1-D arrays.
+
+    Product to sum, with a = (L +- dt) / sigma, gives 2 L sigma I_kappa as
+    the difference of two cosine transforms of the envelope, each the exact
+    Gaussian sqrt(pi/2) exp(-a^2/2), and 2 L sigma I_omega as the sum of
+    two sine transforms (_sine_transform).
+    """
+    eps = np.finfo(float).eps
+    with np.errstate(all="ignore"):  # L = 0 gives estimates that are not finite
+        a = np.stack(((sep + delay) / sigma, (sep - delay) / sigma))
+        gauss = math.sqrt(math.pi / 2.0) * np.exp(-0.5 * a * a)
+        sine_n, sine_2n = (_sine_transform(a, rule) for rule in _gauss_legendre(_ROTATED_NODES))
+        scale = 0.5 / (sep * sigma)
+        values = np.array([gauss[1] - gauss[0], sine_2n[0] + sine_2n[1]])
+        # each transform's rule difference plus one rounding unit, which the
+        # division by L amplifies as L -> 0
+        err = np.array(
+            [eps * gauss.sum(0), (np.abs(sine_n - sine_2n) + eps * np.abs(sine_2n)).sum(0)]
         )
-    return value
+        return scale * values, scale * err
+
+
+def _oracle(lam_a, eta_a, lam_b, eta_b, sep, delay, sigma):
+    """(f_a, f_b, kappa, omega) by quadrature over 1-D arrays of draws: the
+    kernel behind oracle_correlators and verify.  Raises QuadratureError,
+    naming the first draw whose estimate passes the ceiling."""
+    lam_a, eta_a, lam_b, eta_b, sep, delay, sigma = (
+        np.ravel(v).astype(float)
+        for v in np.broadcast_arrays(lam_a, eta_a, lam_b, eta_b, sep, delay, sigma)
+    )
+    far = _panels(sep, delay, sigma) > _MAX_PANELS
+    # a far draw takes only I_f from k space, on the envelope panels
+    near_sep, near_delay = np.where(far, 0.0, sep), np.where(far, 0.0, delay)
+    (i_f, i_kappa, i_omega), err = _kspace(near_sep, near_delay, sigma)
+    if far.any():
+        (i_kappa[far], i_omega[far]), err[1:, far] = _rotated(sep[far], delay[far], sigma[far])
+    bad = ~(err <= _QUAD_ERROR_CEILING)  # a nan estimate fails too
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=0)))
+        which = int(np.argmax(bad[:, i]))
+        raise QuadratureError(
+            f"{_INTEGRALS[which]} integral: estimated error {err[which, i]:.3e} "
+            f"(ceiling {_QUAD_ERROR_CEILING:.0e}) at separation {sep[i].item()!r}, "
+            f"delay {delay[i].item()!r}, width {sigma[i].item()!r}"
+        )
+    cprod = lam_a * lam_b * eta_a * eta_b
+    return (
+        np.exp(-((lam_a * eta_a) ** 2) * i_f / (2.0 * _PI2)),
+        np.exp(-((lam_b * eta_b) ** 2) * i_f / (2.0 * _PI2)),
+        -cprod / (2.0 * _PI2) * i_kappa,
+        -cprod / _PI2 * i_omega,
+    )
 
 
 def oracle_correlators(a: DetectorParams, b: DetectorParams, g: PairGeometry) -> CorrelatorSet:
@@ -278,49 +353,32 @@ def oracle_correlators(a: DetectorParams, b: DetectorParams, g: PairGeometry) ->
 
     The angular integral of exp(-i k . r) over directions is 4 pi sinc(kL),
     done analytically; what remains are one-dimensional Gaussian-damped,
-    mildly oscillatory integrals:
+    oscillatory integrals:
 
         I_f   = int_0^inf k exp(-sigma^2 k^2 / 2) dk
         f_j   = exp(-lambda_j^2 eta_j^2 I_f / (2 pi^2))
         kappa = -(C / 2 pi^2) int_0^inf k exp(-sigma^2 k^2/2) sinc(kL) sin(k dt) dk
         omega = -(C / pi^2)   int_0^inf k exp(-sigma^2 k^2/2) sinc(kL) cos(k dt) dk
 
-    with C the coupling product.  This route shares no code with the closed
-    forms (no Dawson function) and serves as their independent oracle.
-    Raises QuadratureError when the 1e-9 absolute error budget cannot be
-    certified.
+    with C the coupling product.  Up to (L + |dt|) / sigma of about 88 they
+    are summed in k by Gauss-Legendre panels of half an oscillation period.
+    Past that the panels would be too many, and the integrals move to the
+    rotated contour of _rotated (numerical steepest descent, Huybrechs and
+    Vandewalle, SIAM J. Numer. Anal. 44, 1026, 2006), whose sine transform
+    does not oscillate; its kappa is the exact Gaussian that the closed
+    form also uses.  Neither band shares code with the closed forms (no
+    Dawson function), so this route serves as their independent oracle.
+    The error estimate is the difference between the n-node and 2n-node
+    rules; QuadratureError is raised when it passes 1e-9 absolute.
     """
-    s = g.smearing_width
-    sep, delay = g.separation, g.delay
-    kmax = _KMAX_OVER_SIGMA / s
-    cprod = a.coupling * b.coupling * a.switching_weight * b.switching_weight
-
-    def damped(k):
-        return k * math.exp(-0.5 * (s * k) ** 2)
-
-    i_f = _radial_quad(damped, kmax, [], "decay-factor integral")
-    le_a = a.coupling * a.switching_weight
-    le_b = b.coupling * b.switching_weight
-    f_a = math.exp(-le_a * le_a * i_f / (2.0 * _PI2))
-    f_b = math.exp(-le_b * le_b * i_f / (2.0 * _PI2))
-
-    pts = _oscillation_breakpoints(sep, delay, kmax)
-    kap_int = _radial_quad(
-        lambda k: damped(k) * _sinc(k * sep) * math.sin(k * delay),
-        kmax,
-        pts,
-        "commutator integral",
+    values = _oracle(
+        a.coupling,
+        a.switching_weight,
+        b.coupling,
+        b.switching_weight,
+        g.separation,
+        g.delay,
+        g.smearing_width,
     )
-    om_int = _radial_quad(
-        lambda k: damped(k) * _sinc(k * sep) * math.cos(k * delay),
-        kmax,
-        pts,
-        "anticommutator integral",
-    )
-    return CorrelatorSet(
-        f_a,
-        f_b,
-        -cprod / (2.0 * _PI2) * kap_int,
-        -cprod / _PI2 * om_int,
-        *_phases(a.energy_gap, b.energy_gap, g.time_origin, g.delay),
-    )
+    phases = _phases(a.energy_gap, b.energy_gap, g.time_origin, g.delay)
+    return CorrelatorSet(*(v.item() for v in values), *phases)

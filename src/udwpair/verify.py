@@ -9,12 +9,12 @@ significant digits, well past double precision.
 
 import math
 import random
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .detector_state import InitialState, XDensityMatrix, _modulus, assemble_appendix
-from .field_correlators import CorrelatorSet, oracle_correlators
+from .field_correlators import CorrelatorSet, _correlators, _oracle
 from .quantum_measures import (
     _negativity,
     _spectrum,
@@ -23,9 +23,9 @@ from .quantum_measures import (
     spectrum_closed,
 )
 from .special_functions import _dawson
-from .sweep_engine import ModelParams, _batch_states, _stack, detector_pair
+from .sweep_engine import ModelParams, _batch_states, _stack
 
-__all__ = ["CheckResult", "random_model_params", "run_all"]
+__all__ = ["CheckResult", "random_model_params", "random_decade_params", "run_all"]
 
 
 @dataclass(frozen=True)
@@ -88,6 +88,19 @@ def random_model_params(
     )
 
 
+def random_decade_params(rng: random.Random) -> ModelParams:
+    """One random parameter point whose separation and |delay| are each
+    log-uniform over [1e-3, 1e8] widths, the delay with a random sign;
+    the other knobs are drawn as random_model_params(lambda_max=5) draws
+    them."""
+    separation, delay = (10.0 ** rng.uniform(-3.0, 8.0) for _ in range(2))
+    return replace(
+        random_model_params(rng, lambda_max=5.0),
+        separation=separation,
+        delay=rng.choice((-1.0, 1.0)) * delay,
+    )
+
+
 def _per_draw(columns):
     """Tuples of Python numbers, one per draw, from a batch's columns."""
     return zip(*(c.tolist() for c in columns))
@@ -113,24 +126,28 @@ def _check_dawson() -> CheckResult:
     )
 
 
-# Each sampled check draws all its points first, evaluates the runtime
-# route on them as one batch, then runs the oracle route draw by draw.
+# Each sampled check draws all its points first and evaluates the runtime
+# route on them as one batch.  The correlator oracle runs as a batch too;
+# the other oracles run draw by draw.
 
 
-def _check_correlators(rng: random.Random, points: int) -> CheckResult:
+def _check_correlators(rng: random.Random, decades: random.Random, points: int) -> CheckResult:
     # error scale: relative above 1e-3, absolute (1e-9 at the tolerance)
     # below, folded into one ratio against max(|oracle|, 1e-3)
-    draws = [random_model_params(rng, lambda_max=5.0) for _ in range(points)]
-    worst = 0.0
-    for p, closed in zip(draws, _per_draw(_batch_states(_stack(draws))[0])):
-        numeric = oracle_correlators(*detector_pair(p))
-        for value, ref in zip(closed, astuple(numeric)):
-            worst = max(worst, abs(value - ref) / max(abs(ref), 1e-3))
+    p = _stack(
+        [random_model_params(rng, lambda_max=5.0) for _ in range(points)]
+        + [random_decade_params(decades) for _ in range(points)]
+    )
+    args = (p.lambda_a, p.eta_a, p.lambda_b, p.eta_b, p.separation, p.delay, 1.0)
+    worst = max(
+        float(np.max(np.abs(closed - ref) / np.maximum(np.abs(ref), 1e-3)))
+        for closed, ref in zip(_correlators(*args), _oracle(*args))
+    )
     return CheckResult(
         "correlators-vs-quadrature",
         worst,
         1e-6,
-        f"{points} random draws, scaled error",
+        f"{points} random draws and {points} over decades of L and dtau, scaled error",
     )
 
 
@@ -213,9 +230,12 @@ def run_all(seed: int = 0, points: int | None = None) -> list:
     if points is not None and points < 1:
         raise ValueError(f"points must be at least 1, got {points!r}")
     rng = random.Random(seed)
+    # the decade draws have their own generator, so the later checks draw
+    # the same points whatever they are
+    decades = random.Random(f"decades-{seed}")
     return [
         _check_dawson(),
-        _check_correlators(rng, points or 200),
+        _check_correlators(rng, decades, points or 200),
         _check_assembly(rng, points or 1000),
         _check_spectrum(rng, points or 2000),
         _check_physicality(rng, points or 2000),

@@ -96,6 +96,17 @@ def test_bad_knob_values_are_usage_errors(capsys):
         assert named in captured.err
 
 
+def test_sweep_bad_fixed_flag_is_usage_error(capsys):
+    # the same container message and exit code as point, before any grid
+    # point runs
+    assert main(["point", "--lambda", "-1"]) == 2
+    point_err = capsys.readouterr().err
+    assert main(_SWEEP + ["--lambda", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == point_err == "error: DetectorParams.coupling must be >= 0, got -1.0\n"
+
+
 def test_config_rejects_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"lambda": 1.0, "junk": 2.0}))
@@ -270,12 +281,22 @@ def test_point_with_overflowing_state_exits_1(capsys):
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy serves only the quadrature oracle and is imported on first use
     proc = _fresh_python(
         "-c", "import sys, udwpair; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_verify_runs_without_scipy():
+    # the quadrature oracle is numpy only
+    proc = _fresh_python(
+        "-c",
+        "import sys, udwpair.verify; udwpair.verify.run_all(points=5); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_module_entry_point_runs_with_warnings_as_errors():

@@ -2,6 +2,7 @@ import math
 import random
 from dataclasses import astuple
 
+import numpy as np
 import pytest
 
 from udwpair import (
@@ -17,11 +18,19 @@ from udwpair import (
     random_model_params,
 )
 from udwpair.field_correlators import (
+    _MAX_PANELS,
+    _ROTATED_NODES,
+    _gauss_legendre,
     _kappa_direct,
     _kappa_small_l,
+    _kspace,
     _omega_direct,
     _omega_small_l,
+    _panels,
+    _rotated,
+    _sine_transform,
 )
+from udwpair.verify import random_decade_params
 
 A_UNIT = DetectorParams(1.0, 1.0, 1.0)
 
@@ -164,11 +173,57 @@ def test_closed_form_set_matches_oracle_spots():
             assert abs(getattr(closed, name) - ref) <= 1e-6 * max(abs(ref), 1e-3)
 
 
+def _scaled_errors(a, b, g):
+    closed, numeric = closed_form_correlators(a, b, g), oracle_correlators(a, b, g)
+    return [abs(x - y) / max(abs(y), 1e-3) for x, y in zip(astuple(closed), astuple(numeric))]
+
+
+def test_oracle_spans_decades():
+    # far past the old breakpoint cap of the adaptive quadrature
+    for l, dtau in ((200.0, 199.0), (1e4, 0.0), (3.0, 1e4), (1e8, 0.0), (1e8, -3.0)):
+        assert max(_scaled_errors(*_pair(l, dtau, lam_a=5.0, lam_b=3.0))) <= 1e-6, (l, dtau)
+
+
+def test_decade_draws_match_closed_forms():
+    rng = random.Random(11)
+    draws = [random_decade_params(rng) for _ in range(400)]
+    for values in ([p.separation for p in draws], [abs(p.delay) for p in draws]):
+        assert 1e-3 <= min(values) < 1e-2 and 1e7 < max(values) <= 1e8
+        # log-uniform: about a third of the draws in each third of the decades
+        low = sum(v < 10.0 ** (2.0 / 3.0) for v in values)
+        assert 100 < low < 170
+    assert 150 < sum(p.delay < 0.0 for p in draws) < 250
+    for p in draws[:100]:
+        assert max(_scaled_errors(*detector_pair(p))) <= 1e-6, p
+
+
+def test_kspace_and_rotated_forms_agree_where_both_run():
+    # far out kappa's rotated form is the closed-form Gaussian, so its
+    # independence rests on this overlap band
+    rng = random.Random(5)
+    sep, delay = (
+        np.array([rng.uniform(lo, hi) for _ in range(500)])
+        for lo, hi in ((0.05, 44.0), (-44.0, 44.0))
+    )
+    sigma = np.ones_like(sep)
+    assert (_panels(sep, delay, sigma) <= _MAX_PANELS).all()
+    (_, *kspace), kspace_err = _kspace(sep, delay, sigma)
+    rotated, rotated_err = _rotated(sep, delay, sigma)
+    assert kspace_err.max() <= 1e-12 and rotated_err.max() <= 1e-12
+    assert np.abs(np.array(kspace) - rotated).max() <= 1e-12
+
+
 def test_quadrature_failure_is_reported():
+    # on the rotated contour omega's integral is a sum of two sine
+    # transforms over 2L; at L = 1e-12 their n- and 2n-node rules differ
+    # by ~1e-19 each, which the division makes ~1e-6
     a = DetectorParams(1.0, 1.0, 1.0)
-    g = PairGeometry(1e6, 3.0, 1.0)
-    with pytest.raises(QuadratureError):
+    g = PairGeometry(1e-12, 1e3, 1.0)
+    with pytest.raises(QuadratureError, match="anticommutator integral: estimated error"):
         oracle_correlators(a, a, g)
+    args = np.array([1e-12 + 1e3, 1e-12 - 1e3])
+    n_rule, twice = (_sine_transform(args, rule) for rule in _gauss_legendre(_ROTATED_NODES))
+    assert np.abs(n_rule - twice).sum() / 2e-12 > 1e-9
 
 
 def test_parameter_validation():
