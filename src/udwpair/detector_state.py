@@ -163,13 +163,41 @@ class XDensityMatrix:
 
     def as_matrix(self) -> np.ndarray:
         """Reconstruct the full 4x4 complex matrix (exactly Hermitian)."""
-        m = np.zeros((4, 4), dtype=complex)
-        m[0, 0], m[1, 1], m[2, 2], m[3, 3] = self.diagonals()
-        m[0, 3] = self.rho14
-        m[3, 0] = self.rho14.conjugate()
-        m[1, 2] = self.rho23
-        m[2, 1] = self.rho23.conjugate()
-        return m
+        return _dense(*self.diagonals(), self.rho14, self.rho23)
+
+
+def _dense(rho11, rho22, rho33, rho44, rho14, rho23):
+    """The full complex matrices (exactly Hermitian) of X states,
+    elementwise over arrays: shape (..., 4, 4) for elements of shape (...)."""
+    m = np.zeros((*np.shape(rho11), 4, 4), dtype=complex)
+    for i, v in enumerate((rho11, rho22, rho33, rho44)):
+        m[..., i, i] = v
+    m[..., 0, 3] = rho14
+    m[..., 3, 0] = np.conj(rho14)
+    m[..., 1, 2] = rho23
+    m[..., 2, 1] = np.conj(rho23)
+    return m
+
+
+def _batch_of_one(*values):
+    # 1-element arrays: numpy scalars round some complex products
+    # differently from the array loops, so a view that fed the kernels
+    # scalars could differ from its batch in the last bit
+    return [np.array([v], dtype=float) for v in values]
+
+
+def _moment(j, k, l, m, f_a, f_b, kappa, omega):
+    """One vacuum moment f_(jklm), elementwise over arrays: the kernel
+    behind f_jklm."""
+    e_plus = np.exp(2j * kappa)
+    e_minus = np.conj(e_plus)
+    ew = np.exp(omega)
+    ewm = np.exp(-omega)
+    const = 1 + j * l + k * m + j * k * l * m
+    a_part = (1 + j * l) * (k + m) * f_a
+    b_part = ((l + j * k * m) * e_plus + (j + k * l * m) * e_minus) * f_b
+    ab_part = ((j * k + l * m) * ew + (j * m + k * l) * ewm) * (f_a * f_b)
+    return (const + a_part + b_part + ab_part) / 16.0
 
 
 def f_jklm(sig: FSignature, c: CorrelatorSet) -> complex:
@@ -186,16 +214,8 @@ def f_jklm(sig: FSignature, c: CorrelatorSet) -> complex:
     The eight signatures with an odd number of minus signs have every
     integer coefficient equal to zero, so they vanish identically.
     """
-    j, k, l, m = sig.j, sig.k, sig.l, sig.m
-    e_plus = cmath.exp(2j * c.kappa)
-    e_minus = e_plus.conjugate()
-    ew = math.exp(c.omega)
-    ewm = math.exp(-c.omega)
-    const = 1 + j * l + k * m + j * k * l * m
-    a_part = (1 + j * l) * (k + m) * c.f_a
-    b_part = ((l + j * k * m) * e_plus + (j + k * l * m) * e_minus) * c.f_b
-    ab_part = ((j * k + l * m) * ew + (j * m + k * l) * ewm) * (c.f_a * c.f_b)
-    return (const + a_part + b_part + ab_part) / 16.0
+    values = _batch_of_one(c.f_a, c.f_b, c.kappa, c.omega)
+    return complex(_moment(sig.j, sig.k, sig.l, sig.m, *values)[0])
 
 
 def _assemble(theta, fa, fb, kappa, omega, phase_a, phase_b):
@@ -235,9 +255,9 @@ def assemble_main(s: InitialState, c: CorrelatorSet) -> XDensityMatrix:
     return XDensityMatrix.from_elements(*elements)
 
 
-def _moment_table(c):
+def _moment_table(f_a, f_b, kappa, omega):
     def f(j, k, l, m):
-        return f_jklm(FSignature(j, k, l, m), c)
+        return _moment(j, k, l, m, f_a, f_b, kappa, omega)
 
     return {
         "pppp": f(+1, +1, +1, +1),
@@ -251,8 +271,46 @@ def _moment_table(c):
     }
 
 
+def _appendix(theta, f_a, f_b, kappa, omega, phase_a, phase_b):
+    """(rho11, rho22, rho33, rho44, rho14, rho23) from the 16 vacuum
+    moments and explicit gap phases, elementwise over arrays: the kernel
+    behind assemble_appendix.  The populations keep the imaginary dust
+    the moment sums leave, for _real_part or _real_ok to judge."""
+    gamma = phase_a + phase_b
+    cc = np.cos(theta) ** 2
+    ss = np.sin(theta) ** 2
+    cs = np.cos(theta) * np.sin(theta)
+    eg = np.exp(1j * gamma)
+    eg_c = np.conj(eg)
+    f = _moment_table(f_a, f_b, kappa, omega)
+
+    r11 = cc * f["pppp"] + cs * (f["mmpp"] * eg + f["ppmm"] * eg_c) + ss * f["mmmm"]
+    r22 = cc * f["mpmp"] + cs * (f["pmmp"] * eg + f["mppm"] * eg_c) + ss * f["pmpm"]
+    r33 = cc * f["pmpm"] + cs * (f["mppm"] * eg + f["pmmp"] * eg_c) + ss * f["mpmp"]
+    r44 = cc * f["mmmm"] + cs * (f["ppmm"] * eg + f["mmpp"] * eg_c) + ss * f["pppp"]
+    r14 = (
+        cc * f["mmpp"] * eg_c
+        + cs * f["pppp"]
+        + cs * f["mmmm"] * np.exp(-2j * gamma)
+        + ss * f["ppmm"] * eg_c
+    )
+    e_delta = np.exp(-1j * (phase_a - phase_b))
+    r23 = (
+        cc * f["pmmp"] * e_delta
+        + cs * f["mpmp"] * np.exp(2j * phase_b)
+        + cs * f["pmpm"] * np.exp(-2j * phase_a)
+        + ss * f["mppm"] * e_delta
+    )
+    return r11, r22, r33, r44, r14, r23
+
+
+def _real_ok(populations):
+    # False where _real_part would raise for some population; nan fails too
+    return np.all(np.abs(np.imag(populations)) <= _RAISE_TOL, axis=0)
+
+
 def _real_part(name, z):
-    if abs(z.imag) > _RAISE_TOL:
+    if not abs(z.imag) <= _RAISE_TOL:
         raise AssemblyError(f"population {name} picked up an imaginary part: {z.imag:.3e}")
     return z.real
 
@@ -263,38 +321,7 @@ def assemble_appendix(s: InitialState, c: CorrelatorSet) -> XDensityMatrix:
     Each term carries its own exp(+-i Omega tau0) factors.  Cross-checks
     assemble_main; the two agree entrywise to 1e-12.
     """
-    phi_a, phi_b = c.phase_a, c.phase_b
-    gamma = c.gamma
-    th = s.theta
-    cc = math.cos(th) ** 2
-    ss = math.sin(th) ** 2
-    cs = math.cos(th) * math.sin(th)
-    eg = cmath.exp(1j * gamma)
-    eg_c = eg.conjugate()
-    f = _moment_table(c)
-
-    r11 = cc * f["pppp"] + cs * (f["mmpp"] * eg + f["ppmm"] * eg_c) + ss * f["mmmm"]
-    r22 = cc * f["mpmp"] + cs * (f["pmmp"] * eg + f["mppm"] * eg_c) + ss * f["pmpm"]
-    r33 = cc * f["pmpm"] + cs * (f["mppm"] * eg + f["pmmp"] * eg_c) + ss * f["mpmp"]
-    r44 = cc * f["mmmm"] + cs * (f["ppmm"] * eg + f["mmpp"] * eg_c) + ss * f["pppp"]
-    r14 = (
-        cc * f["mmpp"] * eg_c
-        + cs * f["pppp"]
-        + cs * f["mmmm"] * cmath.exp(-2j * gamma)
-        + ss * f["ppmm"] * eg_c
-    )
-    e_delta = cmath.exp(-1j * (phi_a - phi_b))
-    r23 = (
-        cc * f["pmmp"] * e_delta
-        + cs * f["mpmp"] * cmath.exp(2j * phi_b)
-        + cs * f["pmpm"] * cmath.exp(-2j * phi_a)
-        + ss * f["mppm"] * e_delta
-    )
-    return XDensityMatrix.from_elements(
-        _real_part("rho11", r11),
-        _real_part("rho22", r22),
-        _real_part("rho33", r33),
-        _real_part("rho44", r44),
-        r14,
-        r23,
-    )
+    values = _batch_of_one(s.theta, c.f_a, c.f_b, c.kappa, c.omega, c.phase_a, c.phase_b)
+    elements = [v[0] for v in _appendix(*values)]
+    populations = (_real_part(name, z) for name, z in zip(_POPULATIONS, elements[:4]))
+    return XDensityMatrix.from_elements(*populations, *elements[4:])

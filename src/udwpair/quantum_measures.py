@@ -6,7 +6,8 @@ measure has a closed form tied to that structure.  Those runtime forms run
 elementwise over numpy arrays (the public functions are views of one
 state): coherence_l1, spectrum_general, coherence_rec and the two-block
 negativity reported by measure_set.  Independent routes are kept beside
-them on purpose, as oracles that the tests and verify drive against them:
+them on purpose, as oracles that the tests and verify drive against them;
+they too run elementwise over arrays, behind scalar views of one state:
 
 * spectrum_closed   vs spectrum_general
 * negativity_full   (dense partial transpose) vs the two-block negativity
@@ -17,12 +18,11 @@ absolute sum of negative partial-transpose eigenvalues (transpose taken
 over the first detector).
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .detector_state import XDensityMatrix, _modulus
+from .detector_state import XDensityMatrix, _dense, _modulus
 
 __all__ = [
     "MeasureSet",
@@ -67,21 +67,25 @@ def coherence_l1(m: XDensityMatrix) -> float:
     return float(_l1(_modulus(m.rho14), _modulus(m.rho23)))
 
 
+def _spectrum_closed(rho11, rho22, rho33, rho44, m14, m23):
+    """Block eigenvalues (inner low, inner high, outer low, outer high),
+    elementwise over arrays, by the literal discriminants: the kernel
+    behind spectrum_closed."""
+    s_in = np.sqrt(rho22**2 + 4.0 * m23**2 - 2.0 * rho22 * rho33 + rho33**2)
+    s_out = np.sqrt(rho11**2 + 4.0 * m14**2 - 2.0 * rho11 * rho44 + rho44**2)
+    return (
+        0.5 * (rho22 + rho33 - s_in),
+        0.5 * (rho22 + rho33 + s_in),
+        0.5 * (rho11 + rho44 - s_out),
+        0.5 * (rho11 + rho44 + s_out),
+    )
+
+
 def spectrum_closed(m: XDensityMatrix) -> Spectrum4:
     """Literal transcription of the block eigenvalues via the
     sqrt(p^2 + 4|off|^2 - 2pq + q^2) discriminants."""
-    s_in = math.sqrt(
-        m.rho22 ** 2 + 4.0 * abs(m.rho23) ** 2 - 2.0 * m.rho22 * m.rho33 + m.rho33 ** 2
-    )
-    s_out = math.sqrt(
-        m.rho11 ** 2 + 4.0 * abs(m.rho14) ** 2 - 2.0 * m.rho11 * m.rho44 + m.rho44 ** 2
-    )
-    return Spectrum4(
-        0.5 * (m.rho22 + m.rho33 - s_in),
-        0.5 * (m.rho22 + m.rho33 + s_in),
-        0.5 * (m.rho11 + m.rho44 - s_out),
-        0.5 * (m.rho11 + m.rho44 + s_out),
-    )
+    values = _spectrum_closed(*m.diagonals(), _modulus(m.rho14), _modulus(m.rho23))
+    return Spectrum4(*(float(v) for v in values))
 
 
 def _l1(m14, m23):
@@ -155,22 +159,32 @@ def _negativity(rho11, rho22, rho33, rho44, m14, m23):
     return np.maximum(0.0, -inner) + np.maximum(0.0, -outer)
 
 
+def _negativity_full(rho11, rho22, rho33, rho44, rho14, rho23):
+    """Negativity from the dense partial transpose over the first
+    detector, elementwise over arrays: one stacked eigensolver call, the
+    kernel behind negativity_full."""
+    m = _dense(rho11, rho22, rho33, rho44, rho14, rho23)
+    pt = np.swapaxes(m.reshape(*m.shape[:-2], 2, 2, 2, 2), -4, -2).reshape(m.shape)
+    evals = np.linalg.eigvalsh(pt)
+    return -np.where(evals < 0.0, evals, 0.0).sum(axis=-1)
+
+
 def negativity_full(m: XDensityMatrix) -> float:
     """Negativity from the dense partial transpose over the first detector."""
-    pt = m.as_matrix().reshape(2, 2, 2, 2).transpose(2, 1, 0, 3).reshape(4, 4)
-    evals = np.linalg.eigvalsh(pt)
-    return float(-evals[evals < 0.0].sum())
+    return float(_negativity_full(*m.diagonals(), m.rho14, m.rho23))
+
+
+def _negativity_closed(rho22, rho33, m14):
+    """The one-block negativity, elementwise over arrays, from the inner
+    populations and |rho14|: the kernel behind negativity_closed."""
+    return np.maximum(0.0, np.hypot(m14, 0.5 * (rho33 - rho22)) - 0.5 * (rho22 + rho33))
 
 
 def negativity_closed(m: XDensityMatrix) -> float:
     """Negativity from the X structure: the partial transpose swaps the
     coherences between the blocks, and only the block holding rho14 can
     dip negative for states reachable here."""
-    return max(
-        0.0,
-        math.hypot(abs(m.rho14), 0.5 * (m.rho33 - m.rho22))
-        - 0.5 * (m.rho22 + m.rho33),
-    )
+    return float(_negativity_closed(m.rho22, m.rho33, _modulus(m.rho14)))
 
 
 def _measures(rho11, rho22, rho33, rho44, m14, m23):

@@ -9,18 +9,27 @@ significant digits, well past double precision.
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .detector_state import InitialState, XDensityMatrix, _modulus, assemble_appendix
+from .detector_state import (
+    AssemblyError,
+    InitialState,
+    _appendix,
+    _dense,
+    _modulus,
+    _real_ok,
+    _state_ok,
+    assemble_appendix,
+)
 from .field_correlators import CorrelatorSet, _correlators, _oracle
 from .quantum_measures import (
     _negativity,
+    _negativity_closed,
+    _negativity_full,
     _spectrum,
-    negativity_closed,
-    negativity_full,
-    spectrum_closed,
+    _spectrum_closed,
 )
 from .special_functions import _dawson
 from .sweep_engine import ModelParams, _batch_states, _stack
@@ -62,6 +71,23 @@ _DAWSON_TABLE = (
 )
 
 
+def _bounds(lambda_max, gap_max, tau_span):
+    """(low, high) of each uniform knob, in ModelParams field order.  tau_a0
+    comes last and only when its span is not zero; it is 0 otherwise."""
+    bounds = [
+        (0.0, math.pi / 2.0),
+        (0.0, lambda_max),
+        (0.0, lambda_max),
+        (0.2, 2.0),
+        (0.2, 2.0),
+        (0.0, gap_max),
+        (0.0, gap_max),
+        (0.01, 10.0),
+        (-10.0, 10.0),
+    ]
+    return bounds + [(-tau_span, tau_span)] if tau_span else bounds
+
+
 def random_model_params(
     rng: random.Random,
     *,
@@ -74,18 +100,30 @@ def random_model_params(
     Couplings may be zero; separations keep away from the coincidence
     limit handled by the short-distance branch.
     """
-    return ModelParams(
-        theta=rng.uniform(0.0, math.pi / 2.0),
-        lambda_a=rng.uniform(0.0, lambda_max),
-        lambda_b=rng.uniform(0.0, lambda_max),
-        eta_a=rng.uniform(0.2, 2.0),
-        eta_b=rng.uniform(0.2, 2.0),
-        gap_a=rng.uniform(0.0, gap_max),
-        gap_b=rng.uniform(0.0, gap_max),
-        separation=rng.uniform(0.01, 10.0),
-        delay=rng.uniform(-10.0, 10.0),
-        tau_a0=rng.uniform(-tau_span, tau_span) if tau_span else 0.0,
-    )
+    values = [rng.uniform(lo, hi) for lo, hi in _bounds(lambda_max, gap_max, tau_span)]
+    return ModelParams(*values, *([] if tau_span else [0.0]))
+
+
+def _draw(
+    rng: random.Random,
+    n: int,
+    *,
+    lambda_max: float = 8.0,
+    gap_max: float = 4.0,
+    tau_span: float = 0.0,
+) -> ModelParams:
+    """n random parameter points as one batch, every knob a column: bitwise
+    the points that n random_model_params calls with the same arguments
+    draw, from the same rng.random() calls in the same order.
+    random_model_params is not a view of one row of it: numpy's per-call
+    overhead would make it about five times slower, and
+    random_decade_params calls it once per draw."""
+    lo, hi = np.array(_bounds(lambda_max, gap_max, tau_span)).T
+    r = np.fromiter(iter(rng.random, None), float, n * lo.size).reshape(n, lo.size).T
+    columns = np.zeros((len(fields(ModelParams)), n))
+    # lo + (hi - lo) * r is what rng.uniform(lo, hi) computes
+    columns[: lo.size] = lo[:, None] + (hi - lo)[:, None] * r
+    return ModelParams(*columns)
 
 
 def random_decade_params(rng: random.Random) -> ModelParams:
@@ -101,23 +139,37 @@ def random_decade_params(rng: random.Random) -> ModelParams:
     )
 
 
-def _per_draw(columns):
-    """Tuples of Python numbers, one per draw, from a batch's columns."""
-    return zip(*(c.tolist() for c in columns))
+def _worst(errors) -> float:
+    """The largest of equal-shape error arrays; nan if any is nan, so that
+    it fails the tolerance."""
+    return float(np.max(errors))
 
 
 def _moduli(state):
     return _modulus(state[4]), _modulus(state[5])
 
 
+def _trace(diagonals):
+    # the sum of the four populations as if summed in twice the working
+    # precision and then rounded, which is math.fsum's correctly rounded
+    # sum except within a hair of a rounding tie: a TwoSum cascade whose
+    # exact error terms are added back last (Ogita, Rump and Oishi's Sum2;
+    # SIAM J. Sci. Comput. 26, 1955, 2005)
+    total, *rest = diagonals
+    error = 0.0
+    for x in rest:
+        s = total + x
+        t = s - total
+        error = error + ((total - (s - t)) + (x - t))
+        total = s
+    return total + error
+
+
 def _check_dawson() -> CheckResult:
     xs = np.array([x for x, _ in _DAWSON_TABLE])
     refs = np.array([ref for _, ref in _DAWSON_TABLE])
     d = _dawson(xs)
-    worst = max(
-        float(np.max(np.abs(d - refs) / refs)),
-        float(np.max(np.abs(_dawson(-xs) + d) / refs)),
-    )
+    worst = _worst([np.abs(d - refs) / refs, np.abs(_dawson(-xs) + d) / refs])
     return CheckResult(
         "dawson-reference",
         worst,
@@ -126,22 +178,22 @@ def _check_dawson() -> CheckResult:
     )
 
 
-# Each sampled check draws all its points first and evaluates the runtime
-# route on them as one batch.  The correlator oracle runs as a batch too;
-# the other oracles run draw by draw.
+# Each sampled check draws all its points as columns and evaluates both
+# its runtime route and its oracle on them as one batch.
 
 
 def _check_correlators(rng: random.Random, decades: random.Random, points: int) -> CheckResult:
     # error scale: relative above 1e-3, absolute (1e-9 at the tolerance)
     # below, folded into one ratio against max(|oracle|, 1e-3)
-    p = _stack(
-        [random_model_params(rng, lambda_max=5.0) for _ in range(points)]
-        + [random_decade_params(decades) for _ in range(points)]
-    )
+    usual = _draw(rng, points, lambda_max=5.0)
+    far = _stack([random_decade_params(decades) for _ in range(points)])
+    p = ModelParams(*map(np.concatenate, zip(vars(usual).values(), vars(far).values())))
     args = (p.lambda_a, p.eta_a, p.lambda_b, p.eta_b, p.separation, p.delay, 1.0)
-    worst = max(
-        float(np.max(np.abs(closed - ref) / np.maximum(np.abs(ref), 1e-3)))
-        for closed, ref in zip(_correlators(*args), _oracle(*args))
+    worst = _worst(
+        [
+            np.abs(closed - ref) / np.maximum(np.abs(ref), 1e-3)
+            for closed, ref in zip(_correlators(*args), _oracle(*args))
+        ]
     )
     return CheckResult(
         "correlators-vs-quadrature",
@@ -152,13 +204,24 @@ def _check_correlators(rng: random.Random, decades: random.Random, points: int) 
 
 
 def _check_assembly(rng: random.Random, points: int) -> CheckResult:
-    draws = [random_model_params(rng, tau_span=5.0) for _ in range(points)]
-    correlators, state = _batch_states(_stack(draws))
-    worst = 0.0
-    for p, c, elements in zip(draws, _per_draw(correlators), _per_draw(state)):
-        other = assemble_appendix(InitialState(p.theta), CorrelatorSet(*c))
-        others = (*other.diagonals(), other.rho14, other.rho23)
-        worst = max(worst, *(abs(x - y) for x, y in zip(elements, others)))
+    # _batch_states has already checked the draws and their correlators as
+    # InitialState and CorrelatorSet would; this mask adds the checks of
+    # _real_part and from_elements on the appendix route's elements
+    p = _draw(rng, points, tau_span=5.0)
+    correlators, state = _batch_states(p)
+    with np.errstate(all="ignore"):
+        elements = _appendix(p.theta, *correlators)
+        ok, diagonals = _state_ok(*np.real(elements[:4]), *elements[4:])
+    ok &= _real_ok(elements[:4])
+    if not ok.all():
+        # the first failing draw, rerun alone through the scalar view,
+        # raises its own error
+        i = int(np.argmin(ok))
+        theta, *c = (v[i].item() for v in (p.theta, *correlators))
+        assemble_appendix(InitialState(theta), CorrelatorSet(*c))
+        raise AssemblyError("the draw fails an invariant check only inside its batch")
+    other = (*diagonals, *elements[4:])
+    worst = _worst([_modulus(x - y) for x, y in zip(state, other)])
     return CheckResult(
         "assembly-dual-route",
         worst,
@@ -168,12 +231,11 @@ def _check_assembly(rng: random.Random, points: int) -> CheckResult:
 
 
 def _check_spectrum(rng: random.Random, points: int) -> CheckResult:
-    state = _batch_states(_stack([random_model_params(rng) for _ in range(points)]))[1]
-    general = _spectrum(*state[:4], *_moduli(state))
-    worst = 0.0
-    for elements, b in zip(_per_draw(state), _per_draw(general)):
-        a = spectrum_closed(XDensityMatrix(*elements)).as_tuple()
-        worst = max(worst, max(abs(x - y) for x, y in zip(a, b)))
+    state = _batch_states(_draw(rng, points))[1]
+    moduli = _moduli(state)
+    general = _spectrum(*state[:4], *moduli)
+    closed = _spectrum_closed(*state[:4], *moduli)
+    worst = _worst([np.abs(a - b) for a, b in zip(closed, general)])
     return CheckResult(
         "spectrum-dual-route",
         worst,
@@ -185,14 +247,12 @@ def _check_spectrum(rng: random.Random, points: int) -> CheckResult:
 def _check_physicality(rng: random.Random, points: int) -> CheckResult:
     # two tolerances folded into one normalized ratio:
     # |trace - 1| / 1e-12 and (negative eigenvalue excursion) / 1e-10
-    state = _batch_states(_stack([random_model_params(rng) for _ in range(points)]))[1]
-    worst = 0.0
-    for elements in _per_draw(state):
-        m = XDensityMatrix(*elements)
-        trace = math.fsum(m.diagonals())
-        eigs = np.linalg.eigvalsh(m.as_matrix())
-        dip = max(0.0, -float(eigs[0]))
-        worst = max(worst, abs(trace - 1.0) / 1e-12, dip / 1e-10)
+    state = _batch_states(_draw(rng, points))[1]
+    # the eigensolver may reject a matrix that is not finite; its dip is nan
+    finite = np.isfinite(state).all(axis=0)
+    dip = np.full(points, np.nan)
+    dip[finite] = np.maximum(0.0, -np.linalg.eigvalsh(_dense(*state)[finite])[:, 0])
+    worst = _worst([np.abs(_trace(state[:4]) - 1.0) / 1e-12, dip / 1e-10])
     return CheckResult(
         "physicality",
         worst,
@@ -204,22 +264,17 @@ def _check_physicality(rng: random.Random, points: int) -> CheckResult:
 def _check_negativity(rng: random.Random, points: int) -> CheckResult:
     # the runtime two-block negativity and the one-block closed form, each
     # against the dense partial transpose
-    state = _batch_states(_stack([random_model_params(rng) for _ in range(points)]))[1]
-    runtime = _negativity(*state[:4], *_moduli(state))
-    worst = 0.0
-    exceptions = 0
-    for elements, two_block in zip(_per_draw(state), runtime.tolist()):
-        m = XDensityMatrix(*elements)
-        full = negativity_full(m)
-        diff = max(abs(two_block - full), abs(negativity_closed(m) - full))
-        worst = max(worst, diff)
-        if diff > 1e-12:
-            exceptions += 1
+    state = _batch_states(_draw(rng, points))[1]
+    moduli = _moduli(state)
+    full = _negativity_full(*state)
+    two_block = _negativity(*state[:4], *moduli)
+    closed = _negativity_closed(state[1], state[2], moduli[0])
+    diff = np.maximum(np.abs(two_block - full), np.abs(closed - full))  # keeps nan
     return CheckResult(
         "negativity-dual-route",
-        worst,
+        _worst(diff),
         1e-12,
-        f"{points} draws, {exceptions} disagreements",
+        f"{points} draws, {np.count_nonzero(~(diff <= 1e-12))} disagreements",
     )
 
 
