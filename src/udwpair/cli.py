@@ -28,7 +28,7 @@ from dataclasses import asdict
 
 from .detector_state import AssemblyError, InitialState
 from .field_correlators import QuadratureError
-from .quantum_measures import measure_set, spectrum_general
+from .quantum_measures import spectrum_general
 from .sweep_engine import (
     FIGURE_PRESETS,
     KNOBS,
@@ -36,10 +36,10 @@ from .sweep_engine import (
     ModelParams,
     SweepError,
     SweepSpec,
+    _point,
     detector_pair,
     emit_csv,
     figure_preset,
-    point_state,
     run_sweep,
 )
 from .verify import run_all
@@ -102,7 +102,7 @@ def _resolve_params(args) -> ModelParams:
 
 def cmd_point(params: ModelParams) -> int:
     try:
-        correlators, state = point_state(params)
+        correlators, state, measures = _point(params)
     except (AssemblyError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -115,7 +115,7 @@ def cmd_point(params: ModelParams) -> int:
             for k, v in asdict(state).items()
         },
         "spectrum": list(spectrum_general(state).as_tuple()),
-        "measures": asdict(measure_set(state)),
+        "measures": asdict(measures),
     }
     print(json.dumps(payload, indent=2))
     return 0
@@ -208,10 +208,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_negative_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return text.startswith("-")
+
+
+def _join_negative_values(argv) -> list:
+    """argv with each `--flag -1e-3` written `--flag=-1e-3`: argparse takes
+    a negative number in scientific notation for an option name.  Tokens
+    after a bare `--` are left as they are."""
+    out = []
+    for i, token in enumerate(argv):
+        if token == "--":
+            return out + list(argv[i:])
+        flag = out[-1] if out else ""
+        if flag[:2] == "--" and "=" not in flag and flag != "--help" and _is_negative_number(token):
+            out[-1] = f"{flag}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

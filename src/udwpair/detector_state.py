@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field_correlators import CorrelatorSet
+from .field_correlators import CorrelatorSet, _batch_of_one
 
 __all__ = [
     "InitialState",
@@ -179,13 +179,6 @@ def _dense(rho11, rho22, rho33, rho44, rho14, rho23):
     return m
 
 
-def _batch_of_one(*values):
-    # 1-element arrays: numpy scalars round some complex products
-    # differently from the array loops, so a view that fed the kernels
-    # scalars could differ from its batch in the last bit
-    return [np.array([v], dtype=float) for v in values]
-
-
 def _moment(j, k, l, m, f_a, f_b, kappa, omega):
     """One vacuum moment f_(jklm), elementwise over arrays: the kernel
     behind f_jklm."""
@@ -251,8 +244,8 @@ def _assemble(theta, fa, fb, kappa, omega, phase_a, phase_b):
 
 def assemble_main(s: InitialState, c: CorrelatorSet) -> XDensityMatrix:
     """Build the X state from the compact per-element closed forms."""
-    elements = _assemble(s.theta, c.f_a, c.f_b, c.kappa, c.omega, c.phase_a, c.phase_b)
-    return XDensityMatrix.from_elements(*elements)
+    values = _batch_of_one(s.theta, c.f_a, c.f_b, c.kappa, c.omega, c.phase_a, c.phase_b)
+    return XDensityMatrix.from_elements(*(v[0] for v in _assemble(*values)))
 
 
 def _moment_table(f_a, f_b, kappa, omega):

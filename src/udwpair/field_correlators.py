@@ -223,21 +223,27 @@ def _correlators(lam_a, eta_a, lam_b, eta_b, sep, delay, sigma):
     )
 
 
+def _batch_of_one(*values):
+    # 1-element arrays: a scalar view then follows its kernel's array
+    # arithmetic, numpy's inf and nan rather than OverflowError, and the
+    # array loops' rounding, where numpy scalars round some complex
+    # products differently and the view could differ from its batch
+    return [np.array([v], dtype=float) for v in values]
+
+
+def _view(kernel, a: DetectorParams, b: DetectorParams, g: PairGeometry) -> CorrelatorSet:
+    # one detector pair through a kernel over arrays, as a batch of one
+    detectors = (a.coupling, a.switching_weight, b.coupling, b.switching_weight)
+    values = kernel(*_batch_of_one(*detectors, g.separation, g.delay, g.smearing_width))
+    phases = _phases(a.energy_gap, b.energy_gap, g.time_origin, g.delay)
+    return CorrelatorSet(*(v.item() for v in values), *phases)
+
+
 def closed_form_correlators(
     a: DetectorParams, b: DetectorParams, g: PairGeometry
 ) -> CorrelatorSet:
     """The field scalars via the closed forms, with the gap phases."""
-    values = _correlators(
-        a.coupling,
-        a.switching_weight,
-        b.coupling,
-        b.switching_weight,
-        g.separation,
-        g.delay,
-        g.smearing_width,
-    )
-    phases = _phases(a.energy_gap, b.energy_gap, g.time_origin, g.delay)
-    return CorrelatorSet(*(float(v) for v in values), *phases)
+    return _view(_correlators, a, b, g)
 
 
 @functools.cache
@@ -371,14 +377,4 @@ def oracle_correlators(a: DetectorParams, b: DetectorParams, g: PairGeometry) ->
     The error estimate is the difference between the n-node and 2n-node
     rules; QuadratureError is raised when it passes 1e-9 absolute.
     """
-    values = _oracle(
-        a.coupling,
-        a.switching_weight,
-        b.coupling,
-        b.switching_weight,
-        g.separation,
-        g.delay,
-        g.smearing_width,
-    )
-    phases = _phases(a.energy_gap, b.energy_gap, g.time_origin, g.delay)
-    return CorrelatorSet(*(v.item() for v in values), *phases)
+    return _view(_oracle, a, b, g)

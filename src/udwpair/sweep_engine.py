@@ -2,14 +2,15 @@
 
 Every closed form downstream of the parameters is elementwise, so a sweep
 grid is evaluated as one batch: correlators, states and measures run over
-numpy arrays in one pass, and a single point is a batch of one.  All
-lengths and times are expressed in units of the switching width (the
-Gaussian smearing scale is pinned to 1), which matches how the figure
-presets are defined.
+numpy arrays in one pass.  A single point runs the public scalar route,
+whose numbers equal its batch row bit for bit, and a batch reruns its
+first failing point along it for the error.  All lengths and times are
+expressed in units of the switching width (the Gaussian smearing scale is
+pinned to 1), which matches how the figure presets are defined.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -17,17 +18,17 @@ import numpy as np
 from .detector_state import (
     AssemblyError,
     InitialState,
-    XDensityMatrix,
     _assemble,
     _modulus,
     _state_ok,
+    assemble_main,
 )
 from .field_correlators import (
-    CorrelatorSet,
     DetectorParams,
     PairGeometry,
     _correlators,
     _phases,
+    closed_form_correlators,
 )
 from .quantum_measures import _measures, measure_set
 
@@ -139,6 +140,17 @@ class SweepSpec:
             raise ValueError("start and stop must be finite")
         if not self.start < self.stop:
             raise ValueError(f"start must be below stop, got [{self.start!r}, {self.stop!r}]")
+        # the largest grid offset before its division by steps - 1; a step
+        # count past the float range overflows too
+        try:
+            offset = (self.stop - self.start) * (self.steps - 1)
+        except OverflowError:
+            offset = math.inf
+        if not math.isfinite(offset):
+            raise ValueError(
+                f"the grid over [{self.start!r}, {self.stop!r}] in {self.steps!r} steps "
+                "overflows the float range"
+            )
 
 
 class SweepRow(NamedTuple):
@@ -181,14 +193,34 @@ def _stack(points) -> ModelParams:
     return ModelParams(*(np.array(c, dtype=float) for c in columns))
 
 
-def _states(p: ModelParams):
-    """Correlators (f_a, f_b, kappa, omega, phase_a, phase_b) and raw
-    state elements (rho11..rho44, rho14, rho23) of a batch of points."""
-    correlators = (
-        *_correlators(p.lambda_a, p.eta_a, p.lambda_b, p.eta_b, p.separation, p.delay, 1.0),
-        *_phases(p.gap_a, p.gap_b, p.tau_a0, p.delay),
-    )
-    return correlators, _assemble(p.theta, *correlators)
+def _point(p: ModelParams):
+    """(CorrelatorSet, XDensityMatrix, MeasureSet) of one point along the
+    public scalar route, whose containers raise the point's error."""
+    # overflow and 0/0 surface as non-finite values, which fail the checks
+    with np.errstate(all="ignore"):
+        a, b, g = detector_pair(p)
+        c = closed_form_correlators(a, b, g)
+        state = assemble_main(InitialState(p.theta), c)
+        return c, state, measure_set(state)
+
+
+def _failure(ok, replay):
+    """(index, exception) of the first point of a batch that fails a check,
+    or None.  replay(index) reruns that point alone, so the exception is
+    the one a single evaluation of it raises."""
+    if ok.all():
+        return None
+    index = int(np.argmin(ok))
+    try:
+        replay(index)
+    except (AssemblyError, ValueError) as exc:
+        return index, exc
+    return index, AssemblyError("the point fails an invariant check only inside its batch")
+
+
+def _replay(p: ModelParams):
+    # rerun point i of a batch alone along the scalar route
+    return lambda i: _point(ModelParams(*(v[i].item() for v in vars(p).values())))
 
 
 def _params_ok(p: ModelParams, correlators):
@@ -207,83 +239,36 @@ def _checked_states(p: ModelParams):
     """(ok, correlators, state) of a batch of points, the state's
     populations with dust clamped; ok is False where a point fails a
     check of the scalar route."""
-    # overflow and 0/0 surface as non-finite values, which fail the checks
-    with np.errstate(all="ignore"):
-        correlators, elements = _states(p)
+    with np.errstate(all="ignore"):  # as in _point
+        correlators = (
+            *_correlators(p.lambda_a, p.eta_a, p.lambda_b, p.eta_b, p.separation, p.delay, 1.0),
+            *_phases(p.gap_a, p.gap_b, p.tau_a0, p.delay),
+        )
+        elements = _assemble(p.theta, *correlators)
         ok, diagonals = _state_ok(*elements)
         return ok & _params_ok(p, correlators), correlators, (*diagonals, *elements[4:])
-
-
-def _replay(p: ModelParams) -> None:
-    """Evaluate one point through the scalar containers, which raise the
-    point's error with its message."""
-    a, b, g = detector_pair(p)
-    with np.errstate(all="ignore"):
-        correlators, elements = _states(_one(p))
-    CorrelatorSet(*(v.item() for v in correlators))
-    InitialState(p.theta)
-    measure_set(XDensityMatrix.from_elements(*elements))
-
-
-def _failure(p: ModelParams, ok):
-    """(index, exception) of the first point of a batch that fails a check,
-    or None.  The failing point is rerun alone through the scalar route,
-    so the exception is the one a single evaluation of it raises."""
-    if ok.all():
-        return None
-    index = int(np.argmin(ok))
-    try:
-        _replay(ModelParams(*(np.ravel(v)[index].item() for v in vars(p).values())))
-    except (AssemblyError, ValueError) as exc:
-        return index, exc
-    return index, AssemblyError("the point fails an invariant check only inside its batch")
 
 
 def _batch_states(p: ModelParams):
     """Correlators and state of a batch; raises the error of its first
     failing point."""
     ok, correlators, state = _checked_states(p)
-    found = _failure(p, ok)
+    found = _failure(ok, _replay(p))
     if found is not None:
         raise found[1]
     return correlators, state
 
 
-def _one(p: ModelParams) -> ModelParams:
-    # a batch of one point: numpy scalars, so that the kernels' arithmetic
-    # follows numpy rules (inf and nan, not ZeroDivisionError)
-    return ModelParams(*(np.float64(v) for v in vars(p).values()))
-
-
 def point_state(p: ModelParams):
     """Correlators and assembled state for one parameter point."""
-    correlators, state = _batch_states(_one(p))
-    c = CorrelatorSet(*(v.item() for v in correlators))
-    return c, XDensityMatrix(*(v.item() for v in state))
-
-
-def _columns(p: ModelParams):
-    """(ok, the SweepRow columns after the value) over a batch of points."""
-    ok, correlators, state = _checked_states(p)
-    with np.errstate(all="ignore"):  # a failed point may carry inf or nan
-        moduli = (_modulus(state[4]), _modulus(state[5]))
-        measures_ok, measures = _measures(*state[:4], *moduli)
-    gamma = correlators[4] + correlators[5]  # as CorrelatorSet.gamma
-    return ok & measures_ok, (*correlators[:4], gamma, *state[:4], *moduli, *measures)
-
-
-def _rows(values, columns) -> list:
-    return list(map(SweepRow._make, np.column_stack((values, *columns)).tolist()))
+    return _point(p)[:2]
 
 
 def evaluate_point(p: ModelParams) -> SweepRow:
     """Correlators, state, measures for one parameter point."""
-    q = _one(p)
-    ok, columns = _columns(q)
-    found = _failure(q, ok)
-    if found is not None:
-        raise found[1]
-    return SweepRow(0.0, *(v.item() for v in columns))
+    c, state, measures = _point(p)
+    moduli = (_modulus(state.rho14).item(), _modulus(state.rho23).item())
+    return SweepRow(0.0, *astuple(c)[:4], c.gamma, *state.diagonals(), *moduli, *astuple(measures))
 
 
 def run_sweep(spec: SweepSpec) -> list:
@@ -293,12 +278,17 @@ def run_sweep(spec: SweepSpec) -> list:
     values[-1] = spec.stop  # exact endpoint regardless of rounding
     fixed = {k: np.full(spec.steps, v, dtype=float) for k, v in vars(spec.fixed).items()}
     p = ModelParams(**(fixed | dict.fromkeys(KNOBS[spec.vary][0], values)))
-    ok, columns = _columns(p)
-    found = _failure(p, ok)
+    ok, correlators, state = _checked_states(p)
+    with np.errstate(all="ignore"):  # a failed point may carry inf or nan
+        moduli = (_modulus(state[4]), _modulus(state[5]))
+        measures_ok, measures = _measures(*state[:4], *moduli)
+    found = _failure(ok & measures_ok, _replay(p))
     if found is not None:
         index, exc = found
         raise SweepError(f"sweep failed at {spec.vary}={float(values[index])!r}: {exc}") from exc
-    return _rows(values, columns)
+    gamma = correlators[4] + correlators[5]  # as CorrelatorSet.gamma
+    columns = (values, *correlators[:4], gamma, *state[:4], *moduli, *measures)
+    return list(map(SweepRow._make, np.column_stack(columns).tolist()))
 
 
 def figure_preset(which: str) -> list:

@@ -14,7 +14,6 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .detector_state import (
-    AssemblyError,
     InitialState,
     _appendix,
     _dense,
@@ -32,7 +31,7 @@ from .quantum_measures import (
     _spectrum_closed,
 )
 from .special_functions import _dawson
-from .sweep_engine import ModelParams, _batch_states, _stack
+from .sweep_engine import ModelParams, _batch_states, _failure, _stack
 
 __all__ = ["CheckResult", "random_model_params", "random_decade_params", "run_all"]
 
@@ -213,13 +212,14 @@ def _check_assembly(rng: random.Random, points: int) -> CheckResult:
         elements = _appendix(p.theta, *correlators)
         ok, diagonals = _state_ok(*np.real(elements[:4]), *elements[4:])
     ok &= _real_ok(elements[:4])
-    if not ok.all():
-        # the first failing draw, rerun alone through the scalar view,
-        # raises its own error
-        i = int(np.argmin(ok))
+
+    def replay(i):  # the draw alone through the scalar view
         theta, *c = (v[i].item() for v in (p.theta, *correlators))
         assemble_appendix(InitialState(theta), CorrelatorSet(*c))
-        raise AssemblyError("the draw fails an invariant check only inside its batch")
+
+    found = _failure(ok, replay)
+    if found is not None:
+        raise found[1]
     other = (*diagonals, *elements[4:])
     worst = _worst([_modulus(x - y) for x, y in zip(state, other)])
     return CheckResult(

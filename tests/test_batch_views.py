@@ -1,6 +1,7 @@
 """Property tests: every batched oracle kernel equals its public scalar
-view point by point, and the column drawer equals repeated
-random_model_params calls bit for bit."""
+view point by point; the runtime views of one point, point_state and
+evaluate_point, equal their rows of a batch; and the column drawer equals
+repeated random_model_params calls bit for bit.  All compare exactly."""
 
 import math
 import random
@@ -14,12 +15,16 @@ from udwpair import (
     CorrelatorSet,
     FSignature,
     InitialState,
+    SweepSpec,
     XDensityMatrix,
     assemble_appendix,
+    evaluate_point,
     f_jklm,
     negativity_closed,
     negativity_full,
+    point_state,
     random_model_params,
+    run_sweep,
     spectrum_closed,
 )
 from udwpair.detector_state import _appendix, _dense, _modulus, _moment
@@ -103,6 +108,20 @@ def test_measure_oracle_kernels_equal_their_scalar_views(points):
         assert np.array_equal(m.as_matrix(), dense[i])
         assert negativity_full(m) == full[i]
         assert negativity_closed(m) == closed[i]
+
+
+@_SETTINGS
+@given(st.lists(_POINT, min_size=1, max_size=12))
+def test_runtime_views_equal_their_batch_rows(points):
+    p, correlators, state = _batch(points)
+    for i, point in enumerate(points):
+        alone = ModelParams(*point)
+        c, m = point_state(alone)
+        assert CorrelatorSet(*(v[i].item() for v in correlators)) == c
+        assert XDensityMatrix(*(v[i].item() for v in state)) == m
+        # the first row of a sweep that starts at the point is the point's
+        spec = SweepSpec("dtau", alone, start=alone.delay, stop=alone.delay + 1.0, steps=2)
+        assert evaluate_point(alone)[1:] == run_sweep(spec)[0][1:]
 
 
 @_SETTINGS

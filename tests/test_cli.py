@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import udwpair
-from udwpair import CSV_HEADER, ModelParams, evaluate_point, figure_preset
+from udwpair import CSV_HEADER, ModelParams, SweepSpec, evaluate_point, figure_preset, run_sweep
 from udwpair.cli import main
 from udwpair.sweep_engine import FIGURE_PRESETS
 
@@ -23,17 +23,41 @@ def _fresh_python(*args):
     )
 
 
+def _sweep_row(p):
+    # a two-point sweep that starts at p: its first row is p's
+    return run_sweep(SweepSpec("dtau", p, start=p.delay, stop=p.delay + 1.0, steps=2))[0]
+
+
+def _payload_row(payload):
+    """The SweepRow fields after the value, as the point JSON gives them."""
+    c, s, m = payload["correlators"], payload["state"], payload["measures"]
+    return (
+        *(c[k] for k in ("f_a", "f_b", "kappa", "omega", "gamma")),
+        *(s[k] for k in ("rho11", "rho22", "rho33", "rho44")),
+        abs(complex(*s["rho14"])),  # libm hypot, as the CSV modulus
+        abs(complex(*s["rho23"])),
+        *(m[k] for k in ("c_l1", "c_rec", "negativity")),
+    )
+
+
 def test_point_default_output(capsys):
-    assert main(["point"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert set(payload) == {"correlators", "state", "spectrum", "measures"}
-    row = evaluate_point(ModelParams())
-    assert payload["correlators"]["kappa"] == row.kappa
-    assert payload["measures"]["c_l1"] == row.c_l1
-    assert payload["measures"]["negativity"] == row.negativity
-    assert len(payload["spectrum"]) == 4
-    re14, im14 = payload["state"]["rho14"]
-    assert math.hypot(re14, im14) == pytest.approx(row.abs_rho14, rel=1e-15)
+    # point, evaluate_point and the sweep row of the same point agree bit
+    # for bit in every field a SweepRow carries
+    cases = [
+        ([], ModelParams()),
+        (
+            ["--theta", "0.5", "--lambda", "2", "--l", "2", "--dtau", "-2"],
+            ModelParams(theta=0.5, lambda_a=2.0, lambda_b=2.0, separation=2.0, delay=-2.0),
+        ),
+    ]
+    for flags, p in cases:
+        assert main(["point", *flags]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {"correlators", "state", "spectrum", "measures"}
+        assert len(payload["spectrum"]) == 4
+        row = _sweep_row(p)
+        assert _payload_row(payload) == tuple(row[1:])
+        assert evaluate_point(p)[1:] == row[1:]
 
 
 def test_point_flags_override_defaults(capsys):
@@ -163,6 +187,14 @@ def test_sweep_bad_bounds_exit_2(capsys):
     rc = main(["sweep", "--vary", "l", "--from", "2", "--to", "1", "--steps", "3"])
     assert rc == 2
     assert "start" in capsys.readouterr().err
+    # finite bounds whose grid overflows are bad bounds too, not a runtime
+    # failure at a grid value the user never asked for
+    for vary, start, stop, steps in (("dtau", "-1e308", "1e308", "3"), ("l", "0", "1e308", "4")):
+        argv = ["sweep", "--vary", vary, f"--from={start}", f"--to={stop}", "--steps", steps]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "overflows" in captured.err
 
 
 def test_sweep_aborts_on_bad_grid_point(capsys):
@@ -188,10 +220,12 @@ def test_point_output_is_reproducible(capsys):
 
 
 def test_point_scientific_notation_flags(capsys):
-    assert main(["point", "--lambda", "2.5e-1", "--l", "3e0"]) == 0
+    # argparse would take -2.5e0 for an option name
+    assert main(["point", "--lambda", "2.5e-1", "--l", "3e0", "--dtau", "-2.5e0"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    row = evaluate_point(ModelParams(lambda_a=0.25, lambda_b=0.25))
+    row = evaluate_point(ModelParams(lambda_a=0.25, lambda_b=0.25, delay=-2.5))
     assert payload["correlators"]["f_a"] == row.f_a
+    assert payload["correlators"]["kappa"] == row.kappa
 
 
 def test_point_separable_start_has_no_entanglement(capsys):
