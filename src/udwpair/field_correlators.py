@@ -19,12 +19,12 @@ gap phases:
 The rho14 phase is gamma = phase_a + phase_b and the rho23 phase is
 phase_a - phase_b.  The four field scalars are computed two independent
 ways: closed forms built on the Dawson function, and a radial
-momentum-space quadrature oracle (Gauss-Legendre panels in k, and a
-rotated contour once the separation or delay spans many widths).  The
-test suite and verify hold the two routes against each other to 1e-6
-relative.  Both run elementwise over numpy arrays (the sweeps evaluate
-whole grids at once, verify whole batches of draws); the public
-functions evaluate one detector pair.
+momentum-space quadrature oracle (Gauss-Legendre panels of two
+oscillation periods in k, and a rotated contour once the separation or
+delay spans many widths).  The test suite and verify hold the two routes
+against each other to 1e-6 relative.  Both run elementwise over numpy
+arrays (the sweeps evaluate whole grids at once, verify whole batches of
+draws); the public functions evaluate one detector pair.
 
 Conventions: the smearing profile F(x) = (sqrt(pi) sigma)^(-3) exp(-x^2/sigma^2)
 transforms to F~(k) = (2 pi)^(-3/2) exp(-sigma^2 k^2 / 4) (symmetric Fourier
@@ -56,12 +56,13 @@ _SMALL_L_FRACTION = 1e-4
 
 # Oracle controls.  exp(-(sigma k)^2/2) < 1e-18 past k = 9.1/sigma, so the
 # truncated tail is invisible at the 1e-13 target accuracy.  A draw that
-# needs more than _MAX_PANELS k-space panels moves to the rotated contour,
-# whose geometric panels stop where its integrand is below exp(-40).
+# needs more than _MAX_PANELS k-space panels, (L + |dt|) / sigma past
+# 256 pi / 9.1 (about 88.4), moves to the rotated contour, whose geometric
+# panels stop where its integrand is below exp(-40).
 _KMAX_OVER_SIGMA = 9.1
-_ENVELOPE_PANELS = math.ceil(_KMAX_OVER_SIGMA)
-_MAX_PANELS = 256
-_K_NODES = 8
+_ENVELOPE_PANELS = math.ceil(_KMAX_OVER_SIGMA / 2.0)
+_MAX_PANELS = 64
+_K_NODES = 16
 _ROTATED_NODES = 16
 _ROTATED_EDGES = np.array([0.0, 1.0 / 27.0, 1.0 / 9.0, 1.0 / 3.0, 1.0])
 _ROTATED_CUT = 80.0
@@ -257,9 +258,11 @@ def _gauss_legendre(n):
 
 
 def _panels(sep, delay, sigma):
-    # each panel spans at most half a period of the fastest oscillation,
-    # k (L + |dt|) = pi, and at most one envelope width 1/sigma
-    oscillation = np.ceil(_KMAX_OVER_SIGMA * (sep + np.abs(delay)) / (np.pi * sigma))
+    # each panel spans at most two periods of the fastest oscillation,
+    # k (L + |dt|) = 4 pi, and at most two envelope widths 2/sigma: 24
+    # integrand evaluations a period, and the 16-node rule is exact there
+    # to rounding, so its difference from the 32-node rule is rounding
+    oscillation = np.ceil(_KMAX_OVER_SIGMA * (sep + np.abs(delay)) / (4.0 * np.pi * sigma))
     return np.maximum(oscillation, _ENVELOPE_PANELS)
 
 
@@ -330,11 +333,18 @@ def _oracle(lam_a, eta_a, lam_b, eta_b, sep, delay, sigma):
         for v in np.broadcast_arrays(lam_a, eta_a, lam_b, eta_b, sep, delay, sigma)
     )
     far = _panels(sep, delay, sigma) > _MAX_PANELS
-    # a far draw takes only I_f from k space, on the envelope panels
-    near_sep, near_delay = np.where(far, 0.0, sep), np.where(far, 0.0, delay)
-    (i_f, i_kappa, i_omega), err = _kspace(near_sep, near_delay, sigma)
+    near = ~far
+    values, err = np.empty((2, 3, sep.size))
+    values[:, near], err[:, near] = _kspace(sep[near], delay[near], sigma[near])
     if far.any():
-        (i_kappa[far], i_omega[far]), err[1:, far] = _rotated(sep[far], delay[far], sigma[far])
+        # a far draw takes only I_f from k space; it depends on sigma alone,
+        # so it is summed once per width, on the envelope panels
+        widths, which = np.unique(sigma[far], return_inverse=True)
+        zero = np.zeros_like(widths)
+        (i_f, _, _), f_err = _kspace(zero, zero, widths)
+        values[0, far], err[0, far] = i_f[which], f_err[0, which]
+        values[1:, far], err[1:, far] = _rotated(sep[far], delay[far], sigma[far])
+    i_f, i_kappa, i_omega = values
     bad = ~(err <= _QUAD_ERROR_CEILING)  # a nan estimate fails too
     if bad.any():
         i = int(np.argmax(bad.any(axis=0)))
@@ -366,9 +376,11 @@ def oracle_correlators(a: DetectorParams, b: DetectorParams, g: PairGeometry) ->
         kappa = -(C / 2 pi^2) int_0^inf k exp(-sigma^2 k^2/2) sinc(kL) sin(k dt) dk
         omega = -(C / pi^2)   int_0^inf k exp(-sigma^2 k^2/2) sinc(kL) cos(k dt) dk
 
-    with C the coupling product.  Up to (L + |dt|) / sigma of about 88 they
-    are summed in k by Gauss-Legendre panels of half an oscillation period.
-    Past that the panels would be too many, and the integrals move to the
+    with C the coupling product.  Up to (L + |dt|) / sigma = 256 pi / 9.1,
+    about 88.4, they are summed in k by 16-node Gauss-Legendre panels, each
+    at most two oscillation periods and two envelope widths 2/sigma wide.
+    Past that the panels would be too many: I_f, which depends on sigma
+    alone, is summed once per width, and kappa and omega move to the
     rotated contour of _rotated (numerical steepest descent, Huybrechs and
     Vandewalle, SIAM J. Numer. Anal. 44, 1026, 2006), whose sine transform
     does not oscillate; its kappa is the exact Gaussian that the closed

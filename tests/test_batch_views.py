@@ -1,20 +1,24 @@
 """Property tests: every batched oracle kernel equals its public scalar
 view point by point; the runtime views of one point, point_state and
-evaluate_point, equal their rows of a batch; and the column drawer equals
-repeated random_model_params calls bit for bit.  All compare exactly."""
+evaluate_point, equal their rows of a batch; the column drawer equals
+repeated random_model_params calls bit for bit; and both correlator
+kernels keep kappa odd and omega even in the delay.  All compare
+exactly."""
 
 import math
 import random
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from udwpair import (
     CorrelatorSet,
+    DetectorParams,
     FSignature,
     InitialState,
+    PairGeometry,
     SweepSpec,
     XDensityMatrix,
     assemble_appendix,
@@ -22,12 +26,14 @@ from udwpair import (
     f_jklm,
     negativity_closed,
     negativity_full,
+    oracle_correlators,
     point_state,
     random_model_params,
     run_sweep,
     spectrum_closed,
 )
 from udwpair.detector_state import _appendix, _dense, _modulus, _moment
+from udwpair.field_correlators import _correlators, _oracle
 from udwpair.quantum_measures import _negativity_closed, _negativity_full, _spectrum_closed
 from udwpair.sweep_engine import ModelParams, _batch_states
 from udwpair.verify import _draw
@@ -67,6 +73,26 @@ _POINT = st.tuples(
     st.floats(-10.0, 10.0),
     st.floats(-5.0, 5.0),
 )
+
+# one draw of the random_decade_params domain as correlator kernel
+# arguments (lambda_a, eta_a, lambda_b, eta_b, L, dt, sigma), at one of
+# several widths: L and |dt| log-uniform over [1e-3, 1e8], so that a batch
+# mixes the oracle's k-space and rotated-contour bands
+_DECADE = st.tuples(
+    st.floats(0.0, 5.0),
+    st.floats(0.2, 2.0),
+    st.floats(0.0, 5.0),
+    st.floats(0.2, 2.0),
+    st.floats(-3.0, 8.0).map(lambda e: 10.0**e),
+    st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-3.0, 8.0)).map(
+        lambda t: t[0] * 10.0 ** t[1]
+    ),
+    st.sampled_from([0.5, 1.0, 2.0]),
+)
+# a near and a far draw at each of two widths
+_MIXED = [
+    (1.0, 1.0, 2.0, 0.5, l, dt, s) for s in (1.0, 2.0) for l, dt in ((3.0, -4.0), (1e4, 2.0))
+]
 
 
 def _batch(points):
@@ -139,3 +165,28 @@ def test_column_draws_equal_repeated_point_draws(seed, n, lambda_max, tau_span):
     for name, column in vars(batch).items():
         assert [getattr(q, name).hex() for q in points] == [v.hex() for v in column.tolist()]
     assert batch_rng.getstate() == point_rng.getstate()
+
+
+@_SETTINGS
+@given(st.lists(_DECADE, min_size=1, max_size=12))
+@example(_MIXED)
+def test_oracle_kernel_equals_its_scalar_view(draws):
+    # guards the far draws' I_f, evaluated once per width and scattered
+    batch = _oracle(*map(np.array, zip(*draws)))
+    for i, (lam_a, eta_a, lam_b, eta_b, sep, delay, sigma) in enumerate(draws):
+        a, b = DetectorParams(lam_a, eta_a), DetectorParams(lam_b, eta_b)
+        one = oracle_correlators(a, b, PairGeometry(sep, delay, sigma))
+        assert (one.f_a, one.f_b, one.kappa, one.omega) == tuple(v[i] for v in batch)
+
+
+@_SETTINGS
+@given(st.lists(_DECADE, min_size=1, max_size=12))
+@example(_MIXED)
+def test_kappa_is_odd_and_omega_even_in_the_delay(draws):
+    *detectors, sep, delay, sigma = map(np.array, zip(*draws))
+    for kernel in (_correlators, _oracle):
+        f_a, f_b, kappa, omega = kernel(*detectors, sep, delay, sigma)
+        flipped = kernel(*detectors, sep, -delay, sigma)
+        assert np.array_equal(flipped[0], f_a) and np.array_equal(flipped[1], f_b)
+        assert np.array_equal(flipped[2], -kappa)
+        assert np.array_equal(flipped[3], omega)

@@ -2,6 +2,7 @@ import math
 import random
 from dataclasses import astuple
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -19,6 +20,7 @@ from udwpair import (
 )
 from udwpair.field_correlators import (
     _MAX_PANELS,
+    _PI2,
     _ROTATED_NODES,
     _gauss_legendre,
     _kappa_direct,
@@ -26,6 +28,7 @@ from udwpair.field_correlators import (
     _kspace,
     _omega_direct,
     _omega_small_l,
+    _oracle,
     _panels,
     _rotated,
     _sine_transform,
@@ -211,6 +214,71 @@ def test_kspace_and_rotated_forms_agree_where_both_run():
     rotated, rotated_err = _rotated(sep, delay, sigma)
     assert kspace_err.max() <= 1e-12 and rotated_err.max() <= 1e-12
     assert np.abs(np.array(kspace) - rotated).max() <= 1e-12
+
+
+# (L + |dt|) / sigma where the oracle leaves k space for the rotated contour
+_SWITCH = 256.0 * math.pi / 9.1
+
+
+@pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+def test_band_switch_sits_at_256_pi_over_9_1(sigma):
+    for factor, far in ((1.0 - 1e-12, False), (1.0 + 1e-12, True)):
+        span = _SWITCH * sigma * factor
+        sep, delay, width = (np.array([v]) for v in (0.25 * span, -0.75 * span, sigma))
+        assert (_panels(sep, delay, width) > _MAX_PANELS).item() is far
+        (_, *kspace), _ = _kspace(sep, delay, width)
+        rotated, _ = _rotated(sep, delay, width)
+        assert not np.array_equal(kspace, rotated)
+        band = rotated if far else kspace
+        # unit couplings: kappa = -I_kappa / (2 pi^2) and omega = -I_omega / pi^2
+        _, _, kappa, omega = _oracle(1.0, 1.0, 1.0, 1.0, sep, delay, width)
+        assert kappa[0] == -1.0 / (2.0 * _PI2) * band[0][0]
+        assert omega[0] == -1.0 / _PI2 * band[1][0]
+    # coincident detectors: k space just inside the switch, and past it the
+    # rotated form, which divides by L, cannot certify its result
+    a = DetectorParams(1.0, 1.0, 1.0)
+    inside = oracle_correlators(a, a, PairGeometry(0.0, _SWITCH * sigma * (1.0 - 1e-12), sigma))
+    assert math.isfinite(inside.omega)
+    with pytest.raises(QuadratureError):
+        oracle_correlators(a, a, PairGeometry(0.0, _SWITCH * sigma * (1.0 + 1e-12), sigma))
+
+
+def _exact_kspace(sep, delay, sigma):
+    """sigma^2 [I_f, I_kappa, I_omega] in closed form, at 40 digits: with
+    l = L / sigma and d = dt / sigma, I_kappa is a difference of Gaussians
+    and I_omega a difference of Dawson functions, D(x) = sqrt(pi)/2
+    exp(-x^2) erfi(x)."""
+    with mpmath.workdps(40):
+        l, d = mpmath.mpf(sep) / sigma, mpmath.mpf(delay) / sigma
+
+        def dawson(x):
+            return mpmath.sqrt(mpmath.pi) / 2 * mpmath.exp(-x * x) * mpmath.erfi(x)
+
+        kappa = mpmath.sqrt(mpmath.pi / 2) * (
+            mpmath.exp(-((d - l) ** 2) / 2) - mpmath.exp(-((d + l) ** 2) / 2)
+        )
+        rt2 = mpmath.sqrt(2)
+        omega = rt2 * (dawson((d + l) / rt2) - dawson((d - l) / rt2))
+        return [1.0, float(kappa / (2 * l)), float(omega / (2 * l))]
+
+
+def test_kspace_band_matches_closed_form_integrals():
+    # L and |dt| log-uniform over the whole k-space band, L down to 1e-3
+    rng = random.Random(17)
+    rows = []
+    while len(rows) < 300:
+        sigma = rng.choice((0.3, 0.5, 1.0, 2.0, 4.0))
+        sep, delay = (10.0 ** rng.uniform(-3.0, math.log10(90.0 * sigma)) for _ in range(2))
+        delay *= rng.choice((-1.0, 1.0))
+        if sep + abs(delay) <= 0.999 * _SWITCH * sigma:
+            rows.append((sep, delay, sigma))
+    sep, delay, sigma = map(np.array, zip(*rows))
+    assert (_panels(sep, delay, sigma) <= _MAX_PANELS).all()
+    assert sep.min() < 2e-3 and ((sep + np.abs(delay)) / sigma).max() > 80.0
+    values, err = _kspace(sep, delay, sigma)
+    exact = np.array([_exact_kspace(*row) for row in rows]).T
+    assert np.abs(sigma**2 * values - exact).max() <= 1e-14
+    assert (sigma**2 * err).max() <= 1e-14
 
 
 def test_quadrature_failure_is_reported():
