@@ -20,10 +20,11 @@ The rho14 phase is gamma = phase_a + phase_b and the rho23 phase is
 phase_a - phase_b.  The four field scalars are computed two independent
 ways: closed forms built on the Dawson function, and a radial
 momentum-space quadrature oracle (Gauss-Legendre panels of two
-oscillation periods in k, and a rotated contour once the separation or
-delay spans many widths).  The test suite and verify hold the two routes
-against each other to 1e-6 relative.  Both run elementwise over numpy
-arrays (the sweeps evaluate whole grids at once, verify whole batches of
+oscillation periods in k, trig by angle addition per panel and per node,
+sinc by one divide; a rotated contour once the separation or delay spans
+many widths).  The test suite and verify hold the two routes against
+each other to 1e-6 relative.  Both run elementwise over numpy arrays
+(the sweeps evaluate whole grids at once, verify whole batches of
 draws); the public functions evaluate one detector pair.
 
 Conventions: the smearing profile F(x) = (sqrt(pi) sigma)^(-3) exp(-x^2/sigma^2)
@@ -269,19 +270,28 @@ def _panels(sep, delay, sigma):
 def _kspace(sep, delay, sigma):
     """[I_f, I_kappa, I_omega] and their error estimates, over 1-D arrays:
     Gauss-Legendre panels on [0, 9.1/sigma], every draw's panels laid end
-    to end in one array."""
+    to end in one array.  A node k = left + offset takes the sin and cos of
+    k dt and k L by angle addition, from those of left dt and left L, once
+    per panel, and of offset dt and offset L, once per draw and node."""
     panels = _panels(sep, delay, sigma).astype(int)
     owner = np.repeat(np.arange(sep.size), panels)  # the draw of each panel
-    width = (_KMAX_OVER_SIGMA / sigma / panels)[owner]
-    left = (np.arange(owner.size) - (np.cumsum(panels) - panels)[owner]) * width
-    s, l, d = (v[owner, None] for v in (sigma, sep, delay))
+    width = _KMAX_OVER_SIGMA / sigma / panels  # each draw's panel width
+    left = (np.arange(owner.size) - (np.cumsum(panels) - panels)[owner]) * width[owner]
+    s, l = (v[owner, None] for v in (sigma, sep))
+    dt_l = np.stack((delay, sep))  # dt and L, a row each
+    (sin_ld, sin_ll), (cos_ld, cos_ll) = (f(left * dt_l.take(owner, 1)) for f in (np.sin, np.cos))
     sums = []
     for x, w in _gauss_legendre(_K_NODES):
-        k = left[:, None] + width[:, None] * x
+        phase = width[:, None] * x * dt_l[..., None]  # offset dt and offset L, per draw
+        (sin_od, sin_ol), (cos_od, cos_ol) = (f(phase).take(owner, 1) for f in (np.sin, np.cos))
+        k = left[:, None] + width[owner, None] * x
         damped = k * np.exp(-0.5 * (s * k) ** 2)
-        radial = damped * np.sinc(k * l / np.pi)  # sinc(kL), 1 at L = 0
-        integrands = (damped, radial * np.sin(k * d), radial * np.cos(k * d))
-        sums.append(np.array([np.bincount(owner, width * (f @ w), sep.size) for f in integrands]))
+        sin_kl = sin_ll[:, None] * cos_ol + cos_ll[:, None] * sin_ol
+        radial = damped * np.divide(sin_kl, k * l, out=np.ones_like(k), where=l > 0.0)  # sinc(kL)
+        i_f, cos_sum, sin_sum = (f @ w for f in (damped, radial * cos_od, radial * sin_od))
+        # sin(left dt) and cos(left dt) are the same at every node of a panel
+        integrals = (i_f, sin_ld * cos_sum + cos_ld * sin_sum, cos_ld * cos_sum - sin_ld * sin_sum)
+        sums.append(np.array([np.bincount(owner, width[owner] * v, sep.size) for v in integrals]))
     return sums[1], np.abs(sums[1] - sums[0])
 
 

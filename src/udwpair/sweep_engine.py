@@ -187,12 +187,6 @@ def detector_pair(p: ModelParams):
     return a, b, PairGeometry(p.separation, p.delay, 1.0, p.tau_a0)
 
 
-def _stack(points) -> ModelParams:
-    """One ModelParams whose fields are arrays over the given points."""
-    columns = zip(*(vars(p).values() for p in points))
-    return ModelParams(*(np.array(c, dtype=float) for c in columns))
-
-
 def _point(p: ModelParams):
     """(CorrelatorSet, XDensityMatrix, MeasureSet) of one point along the
     public scalar route, whose containers raise the point's error."""

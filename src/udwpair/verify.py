@@ -9,7 +9,7 @@ significant digits, well past double precision.
 
 import math
 import random
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .quantum_measures import (
     _spectrum_closed,
 )
 from .special_functions import _dawson
-from .sweep_engine import ModelParams, _batch_states, _failure, _stack
+from .sweep_engine import ModelParams, _batch_states, _failure
 
 __all__ = ["CheckResult", "random_model_params", "random_decade_params", "run_all"]
 
@@ -103,6 +103,13 @@ def random_model_params(
     return ModelParams(*values, *([] if tau_span else [0.0]))
 
 
+def _uniform(bounds, r):
+    # one row per bound from r's rows of rng.random() values, one per draw:
+    # lo + (hi - lo) * r is what rng.uniform(lo, hi) computes
+    lo, hi = np.array(bounds).T
+    return lo[:, None] + (hi - lo)[:, None] * r.T
+
+
 def _draw(
     rng: random.Random,
     n: int,
@@ -115,27 +122,30 @@ def _draw(
     the points that n random_model_params calls with the same arguments
     draw, from the same rng.random() calls in the same order.
     random_model_params is not a view of one row of it: numpy's per-call
-    overhead would make it about five times slower, and
-    random_decade_params calls it once per draw."""
-    lo, hi = np.array(_bounds(lambda_max, gap_max, tau_span)).T
-    r = np.fromiter(iter(rng.random, None), float, n * lo.size).reshape(n, lo.size).T
-    columns = np.zeros((len(fields(ModelParams)), n))
-    # lo + (hi - lo) * r is what rng.uniform(lo, hi) computes
-    columns[: lo.size] = lo[:, None] + (hi - lo)[:, None] * r
-    return ModelParams(*columns)
+    overhead would make it about five times slower."""
+    bounds = _bounds(lambda_max, gap_max, tau_span)
+    r = np.fromiter(iter(rng.random, None), float, n * len(bounds)).reshape(n, len(bounds))
+    return ModelParams(*_uniform(bounds, r), *([] if tau_span else [np.zeros(n)]))
+
+
+def _decade_draw(rng: random.Random, n: int) -> ModelParams:
+    """n random_decade_params points as one batch, every knob a column.
+    Per draw the rng calls keep the scalar draw's order: rng.uniform for
+    log10 L, log10 |dt| and random_model_params' knobs, then rng.choice
+    for dt's sign.  10 ** x is Python's pow; numpy's is an ulp off for 1 x in 20."""
+    bounds = [(-3.0, 8.0)] * 2 + _bounds(5.0, 4.0, 0.0)
+    r = np.array([[*(rng.random() for _ in bounds), rng.choice((-1.0, 1.0))] for _ in range(n)])
+    exponents, knobs = np.split(_uniform(bounds, r[:, :-1]), [2])
+    separation, delay = (np.array([10.0**x for x in v]) for v in exponents.tolist())
+    return replace(ModelParams(*knobs, np.zeros(n)), separation=separation, delay=r[:, -1] * delay)
 
 
 def random_decade_params(rng: random.Random) -> ModelParams:
     """One random parameter point whose separation and |delay| are each
     log-uniform over [1e-3, 1e8] widths, the delay with a random sign;
     the other knobs are drawn as random_model_params(lambda_max=5) draws
-    them."""
-    separation, delay = (10.0 ** rng.uniform(-3.0, 8.0) for _ in range(2))
-    return replace(
-        random_model_params(rng, lambda_max=5.0),
-        separation=separation,
-        delay=rng.choice((-1.0, 1.0)) * delay,
-    )
+    them: the one row of _decade_draw(rng, 1)."""
+    return ModelParams(*(v.item() for v in vars(_decade_draw(rng, 1)).values()))
 
 
 def _worst(errors) -> float:
@@ -185,7 +195,7 @@ def _check_correlators(rng: random.Random, decades: random.Random, points: int) 
     # error scale: relative above 1e-3, absolute (1e-9 at the tolerance)
     # below, folded into one ratio against max(|oracle|, 1e-3)
     usual = _draw(rng, points, lambda_max=5.0)
-    far = _stack([random_decade_params(decades) for _ in range(points)])
+    far = _decade_draw(decades, points)
     p = ModelParams(*map(np.concatenate, zip(vars(usual).values(), vars(far).values())))
     args = (p.lambda_a, p.eta_a, p.lambda_b, p.eta_b, p.separation, p.delay, 1.0)
     worst = _worst(

@@ -9,6 +9,7 @@ working precision instead of the result.
 import random
 
 import mpmath
+import numpy as np
 import pytest
 
 from udwpair import random_model_params
@@ -42,10 +43,11 @@ def draw_grid():
     """The 10^4-point random parameter grid shared by the physicality and
     dual-route acceptance checks (one batch, several consumers)."""
     from udwpair import XDensityMatrix
-    from udwpair.sweep_engine import _batch_states, _stack
+    from udwpair.sweep_engine import ModelParams, _batch_states
 
     rng = random.Random(20260815)
     points = [random_model_params(rng) for _ in range(10_000)]
-    state = _batch_states(_stack(points))[1]
+    columns = zip(*(vars(p).values() for p in points))
+    state = _batch_states(ModelParams(*map(np.array, columns)))[1]
     rows = zip(*(column.tolist() for column in state))
     return [(p, XDensityMatrix(*row)) for p, row in zip(points, rows)]

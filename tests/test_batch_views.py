@@ -1,12 +1,13 @@
 """Property tests: every batched oracle kernel equals its public scalar
 view point by point; the runtime views of one point, point_state and
 evaluate_point, equal their rows of a batch; the column drawer equals
-repeated random_model_params calls bit for bit; and both correlator
-kernels keep kappa odd and omega even in the delay.  All compare
-exactly."""
+repeated random_model_params calls bit for bit, and the decade drawer
+equals the scalar decade draw; and both correlator kernels keep kappa
+odd and omega even in the delay.  All compare exactly."""
 
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from udwpair.detector_state import _appendix, _dense, _modulus, _moment
 from udwpair.field_correlators import _correlators, _oracle
 from udwpair.quantum_measures import _negativity_closed, _negativity_full, _spectrum_closed
 from udwpair.sweep_engine import ModelParams, _batch_states
-from udwpair.verify import _draw
+from udwpair.verify import _decade_draw, _draw, random_decade_params
 
 # Fixed examples, no example database: the same cases on every run, and
 # nothing written next to the checkout.  No shrinking either: a failing
@@ -165,6 +166,29 @@ def test_column_draws_equal_repeated_point_draws(seed, n, lambda_max, tau_span):
     for name, column in vars(batch).items():
         assert [getattr(q, name).hex() for q in points] == [v.hex() for v in column.tolist()]
     assert batch_rng.getstate() == point_rng.getstate()
+
+
+def _scalar_decade_params(rng):
+    # the decade draw written out point by point, as the reference order of
+    # the rng calls: two exponents, the other knobs, then the delay's sign
+    separation, delay = (10.0 ** rng.uniform(-3.0, 8.0) for _ in range(2))
+    return replace(
+        random_model_params(rng, lambda_max=5.0),
+        separation=separation,
+        delay=rng.choice((-1.0, 1.0)) * delay,
+    )
+
+
+@_SETTINGS
+@given(st.integers(0, 2**32 - 1), st.integers(1, 20))
+def test_decade_column_draws_equal_scalar_decade_draws(seed, n):
+    batch_rng, point_rng = random.Random(seed), random.Random(seed)
+    batch = _decade_draw(batch_rng, n)
+    points = [_scalar_decade_params(point_rng) for _ in range(n)]
+    for name, column in vars(batch).items():
+        assert [getattr(q, name).hex() for q in points] == [v.hex() for v in column.tolist()]
+    assert batch_rng.getstate() == point_rng.getstate()
+    assert random_decade_params(random.Random(seed)) == points[0]
 
 
 @_SETTINGS

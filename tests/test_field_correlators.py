@@ -247,13 +247,17 @@ def _exact_kspace(sep, delay, sigma):
     """sigma^2 [I_f, I_kappa, I_omega] in closed form, at 40 digits: with
     l = L / sigma and d = dt / sigma, I_kappa is a difference of Gaussians
     and I_omega a difference of Dawson functions, D(x) = sqrt(pi)/2
-    exp(-x^2) erfi(x)."""
+    exp(-x^2) erfi(x), each over 2 l; at l = 0 their limits."""
     with mpmath.workdps(40):
         l, d = mpmath.mpf(sep) / sigma, mpmath.mpf(delay) / sigma
 
         def dawson(x):
             return mpmath.sqrt(mpmath.pi) / 2 * mpmath.exp(-x * x) * mpmath.erfi(x)
 
+        if l == 0:  # the limits L -> 0 of the quotients below
+            x = d / mpmath.sqrt(2)
+            kappa = mpmath.sqrt(mpmath.pi / 2) * d * mpmath.exp(-d * d / 2)
+            return [1.0, float(kappa), float(1 - 2 * x * dawson(x))]
         kappa = mpmath.sqrt(mpmath.pi / 2) * (
             mpmath.exp(-((d - l) ** 2) / 2) - mpmath.exp(-((d + l) ** 2) / 2)
         )
@@ -272,6 +276,15 @@ def test_kspace_band_matches_closed_form_integrals():
         delay *= rng.choice((-1.0, 1.0))
         if sep + abs(delay) <= 0.999 * _SWITCH * sigma:
             rows.append((sep, delay, sigma))
+    # the band's edges: L = 0, where sinc(kL) is 1; L = 1e-3; and
+    # (L + |dt|) / sigma just under the switch, where k L and k dt reach
+    # about 800 rad
+    for sigma in (0.5, 1.0, 2.0):
+        span = _SWITCH * sigma * (1.0 - 1e-12)
+        rows += [(0.0, 0.0, sigma), (0.0, 1.3 * sigma, sigma), (0.0, -span, sigma)]
+        rows += [(1e-3, 2.0 * sigma, sigma), (1e-3, 1e-3 - span, sigma)]
+        rows += [(span, 0.0, sigma), (0.25 * span, -0.75 * span, sigma)]
+        rows += [(0.6 * span, 0.4 * span, sigma)]
     sep, delay, sigma = map(np.array, zip(*rows))
     assert (_panels(sep, delay, sigma) <= _MAX_PANELS).all()
     assert sep.min() < 2e-3 and ((sep + np.abs(delay)) / sigma).max() > 80.0

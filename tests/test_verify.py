@@ -1,8 +1,10 @@
-"""The self-check battery fails on what it is meant to catch: a nan
-discrepancy fails its check, and a draw that fails inside a batched oracle
-raises the error that draw raises alone."""
+"""The self-check battery passes on working code over several seeds, and
+fails on what it is meant to catch: a nan discrepancy fails its check, and
+a draw that fails inside a batched oracle raises the error that draw
+raises alone."""
 
 import random
+import time
 
 import numpy as np
 import pytest
@@ -106,3 +108,15 @@ def test_a_failing_appendix_draw_raises_its_scalar_error(monkeypatch):
         assemble_appendix(InitialState(theta), CorrelatorSet(*correlators))
     assert str(batched.value) == str(alone.value)
     assert str(alone.value) == "trace deviates from 1 by 1.000e-06"
+
+
+def test_run_all_passes_over_seeds_0_to_7_in_under_0_2_s():
+    verify.run_all(seed=0, points=100)  # warm-up
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        results = [verify.run_all(seed=s, points=100) for s in range(8)]
+        best = min(best, time.perf_counter() - start)
+        assert [r.name for r in results[0]] == list(_CHECKS)
+        assert all(r.passed for checks in results for r in checks)
+    assert best < 0.2, f"{best:.3f} s"
