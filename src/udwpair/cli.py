@@ -7,9 +7,9 @@ Subcommands:
 * figures  run a named preset bundle of sweeps, one CSV per curve
 * verify   run the self-check battery
 
-Exit codes: 0 success, 1 runtime failure (quadrature or state assembly
-broke, file could not be written, a self-check failed), 2 usage error
-(bad flags, bad config, bad sweep bounds).
+Exit codes: 0 success, 1 runtime failure (state assembly broke, file
+could not be written, a self-check failed), 2 usage error (bad flags, bad
+config, bad sweep bounds).
 
 Parameter resolution per knob: specific flag, then generic flag, then
 config file entry (keys named like the flags), then the built-in default.
@@ -27,7 +27,6 @@ import sys
 from dataclasses import asdict
 
 from .detector_state import AssemblyError, InitialState
-from .field_correlators import QuadratureError
 from .quantum_measures import spectrum_general
 from .sweep_engine import (
     FIGURE_PRESETS,
@@ -103,7 +102,7 @@ def _resolve_params(args) -> ModelParams:
 def cmd_point(params: ModelParams) -> int:
     try:
         correlators, state, measures = _point(params)
-    except (AssemblyError, QuadratureError) as exc:
+    except AssemblyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     payload = {
@@ -127,7 +126,7 @@ def _run_and_write(spec: SweepSpec, out: str | None) -> int | None:
     reported."""
     try:
         rows = run_sweep(spec)
-    except (SweepError, QuadratureError) as exc:
+    except SweepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
     if not out:

@@ -268,7 +268,7 @@ def _appendix(theta, f_a, f_b, kappa, omega, phase_a, phase_b):
     """(rho11, rho22, rho33, rho44, rho14, rho23) from the 16 vacuum
     moments and explicit gap phases, elementwise over arrays: the kernel
     behind assemble_appendix.  The populations keep the imaginary dust
-    the moment sums leave, for _real_part or _real_ok to judge."""
+    the moment sums leave, for _real_part to judge."""
     gamma = phase_a + phase_b
     cc = np.cos(theta) ** 2
     ss = np.sin(theta) ** 2
@@ -295,11 +295,6 @@ def _appendix(theta, f_a, f_b, kappa, omega, phase_a, phase_b):
         + ss * f["mppm"] * e_delta
     )
     return r11, r22, r33, r44, r14, r23
-
-
-def _real_ok(populations):
-    # False where _real_part would raise for some population; nan fails too
-    return np.all(np.abs(np.imag(populations)) <= _RAISE_TOL, axis=0)
 
 
 def _real_part(name, z):

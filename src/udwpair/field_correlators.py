@@ -51,8 +51,8 @@ __all__ = [
 
 _PI2 = math.pi * math.pi
 
-# Below this fraction of sigma the closed forms divide a vanishing numerator
-# by L; switch to the series expansion of the numerator instead.
+# Below this fraction of sigma the closed form of omega divides a vanishing
+# numerator by L; switch to the series expansion of the numerator instead.
 _SMALL_L_FRACTION = 1e-4
 
 # Oracle controls.  exp(-(sigma k)^2/2) < 1e-18 past k = 9.1/sigma, so the
@@ -165,22 +165,18 @@ def _decay(le):
     return np.exp(-le * le / (2.0 * _PI2))
 
 
-def _kappa_direct(cprod, sep, delay, sigma):
-    pref = cprod / (4.0 * _PI2 * sep * sigma) * math.sqrt(math.pi / 2.0)
-    plus = (delay + sep) / sigma
-    minus = (delay - sep) / sigma
-    return pref * (np.exp(-0.5 * plus * plus) - np.exp(-0.5 * minus * minus))
-
-
-def _kappa_small_l(cprod, sep, delay, sigma):
-    # numerator N(L) = exp(-(dt+L)^2/2s^2) - exp(-(dt-L)^2/2s^2) is odd in L;
-    # N/L = N'(0) + N'''(0) L^2/6 + O(L^4) keeps the branch seam below 1e-12
-    gauss = np.exp(-0.5 * (delay / sigma) ** 2)
-    s2 = sigma * sigma
-    n1 = -2.0 * (delay / s2) * gauss
-    n3 = 2.0 * (3.0 * delay / (s2 * s2) - delay**3 / (s2 * s2 * s2)) * gauss
-    pref = cprod / (4.0 * _PI2 * sigma) * math.sqrt(math.pi / 2.0)
-    return pref * (n1 + n3 * sep * sep / 6.0)
+def _kappa(cprod, sep, delay, sigma):
+    # with l = L / sigma and d = dt / sigma >= 0, exp(-(d + l)^2 / 2) -
+    # exp(-(d - l)^2 / 2) = exp(-(d - l)^2 / 2) expm1(x), x = -2 d l, does
+    # not cancel; over l it is -2 d exp(-(d - l)^2 / 2) expm1(x) / x, and
+    # expm1(x) / x is 1 at x = 0.  kappa is odd in d, and 0 - d is +0 at
+    # zero delay, as the difference of Gaussians is and -d is not
+    d = delay / sigma
+    x = -2.0 * np.abs(d) * (sep / sigma)
+    ratio = np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0)
+    gauss = np.exp(-0.5 * ((np.abs(delay) - sep) / sigma) ** 2)
+    pref = cprod / (2.0 * _PI2 * sigma * sigma) * math.sqrt(math.pi / 2.0)
+    return pref * (0.0 - d) * ratio * gauss
 
 
 def _omega_direct(cprod, sep, delay, sigma):
@@ -190,7 +186,7 @@ def _omega_direct(cprod, sep, delay, sigma):
 
 
 def _omega_small_l(cprod, sep, delay, sigma):
-    # same structure as the kappa limit, driven by Dawson derivatives:
+    # the direct form's Taylor series in L, driven by Dawson derivatives:
     #   D'(x)   = 1 - 2 x D(x)
     #   D'''(x) = (12 x - 8 x^3) D(x) + 4 x^2 - 4
     u = delay / (math.sqrt(2.0) * sigma)
@@ -201,15 +197,14 @@ def _omega_small_l(cprod, sep, delay, sigma):
     return -cprod / (_PI2 * sigma * sigma) * (d1 + d3 * h * h / 6.0)
 
 
-def _near_or_far(near, far, cprod, sep, delay, sigma):
+def _omega(cprod, sep, delay, sigma):
     # Below separation = 1e-4 sigma the direct form divides a vanishing
     # numerator by L (0/0 at coincidence); the series limit replaces it there.
-    sep = np.asarray(sep, dtype=float)
     small = sep < _SMALL_L_FRACTION * sigma
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = far(cprod, sep, delay, sigma)
+        out = _omega_direct(cprod, sep, delay, sigma)
     if small.any():
-        out = np.where(small, near(cprod, sep, delay, sigma), out)
+        out = np.where(small, _omega_small_l(cprod, sep, delay, sigma), out)
     return out
 
 
@@ -220,8 +215,8 @@ def _correlators(lam_a, eta_a, lam_b, eta_b, sep, delay, sigma):
     return (
         _decay(lam_a * eta_a / sigma),
         _decay(lam_b * eta_b / sigma),
-        _near_or_far(_kappa_small_l, _kappa_direct, cprod, sep, delay, sigma),
-        _near_or_far(_omega_small_l, _omega_direct, cprod, sep, delay, sigma),
+        _kappa(cprod, sep, delay, sigma),
+        _omega(cprod, sep, delay, sigma),
     )
 
 

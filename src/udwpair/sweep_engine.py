@@ -212,9 +212,9 @@ def _failure(ok, replay):
     return index, AssemblyError("the point fails an invariant check only inside its batch")
 
 
-def _replay(p: ModelParams):
-    # rerun point i of a batch alone along the scalar route
-    return lambda i: _point(ModelParams(*(v[i].item() for v in vars(p).values())))
+def _row(p: ModelParams, i: int) -> ModelParams:
+    # point i of a batch, its knobs Python floats
+    return ModelParams(*(v[i].item() for v in vars(p).values()))
 
 
 def _params_ok(p: ModelParams, correlators):
@@ -247,7 +247,7 @@ def _batch_states(p: ModelParams):
     """Correlators and state of a batch; raises the error of its first
     failing point."""
     ok, correlators, state = _checked_states(p)
-    found = _failure(ok, _replay(p))
+    found = _failure(ok, lambda i: _point(_row(p, i)))
     if found is not None:
         raise found[1]
     return correlators, state
@@ -276,7 +276,7 @@ def run_sweep(spec: SweepSpec) -> list:
     with np.errstate(all="ignore"):  # a failed point may carry inf or nan
         moduli = (_modulus(state[4]), _modulus(state[5]))
         measures_ok, measures = _measures(*state[:4], *moduli)
-    found = _failure(ok & measures_ok, _replay(p))
+    found = _failure(ok & measures_ok, lambda i: _point(_row(p, i)))
     if found is not None:
         index, exc = found
         raise SweepError(f"sweep failed at {spec.vary}={float(values[index])!r}: {exc}") from exc

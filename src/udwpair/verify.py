@@ -13,16 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .detector_state import (
-    InitialState,
-    _appendix,
-    _dense,
-    _modulus,
-    _real_ok,
-    _state_ok,
-    assemble_appendix,
-)
-from .field_correlators import CorrelatorSet, _correlators, _oracle
+from .detector_state import _appendix, _dense, _modulus
+from .field_correlators import _correlators, _oracle
 from .quantum_measures import (
     _negativity,
     _negativity_closed,
@@ -31,7 +23,7 @@ from .quantum_measures import (
     _spectrum_closed,
 )
 from .special_functions import _dawson
-from .sweep_engine import ModelParams, _batch_states, _failure
+from .sweep_engine import ModelParams, _batch_states, _row
 
 __all__ = ["CheckResult", "random_model_params", "random_decade_params", "run_all"]
 
@@ -70,7 +62,7 @@ _DAWSON_TABLE = (
 )
 
 
-def _bounds(lambda_max, gap_max, tau_span):
+def _bounds(lambda_max, tau_span):
     """(low, high) of each uniform knob, in ModelParams field order.  tau_a0
     comes last and only when its span is not zero; it is 0 otherwise."""
     bounds = [
@@ -79,28 +71,12 @@ def _bounds(lambda_max, gap_max, tau_span):
         (0.0, lambda_max),
         (0.2, 2.0),
         (0.2, 2.0),
-        (0.0, gap_max),
-        (0.0, gap_max),
+        (0.0, 4.0),
+        (0.0, 4.0),
         (0.01, 10.0),
         (-10.0, 10.0),
     ]
     return bounds + [(-tau_span, tau_span)] if tau_span else bounds
-
-
-def random_model_params(
-    rng: random.Random,
-    *,
-    lambda_max: float = 8.0,
-    gap_max: float = 4.0,
-    tau_span: float = 0.0,
-) -> ModelParams:
-    """One random parameter point with every knob exercised.
-
-    Couplings may be zero; separations keep away from the coincidence
-    limit handled by the short-distance branch.
-    """
-    values = [rng.uniform(lo, hi) for lo, hi in _bounds(lambda_max, gap_max, tau_span)]
-    return ModelParams(*values, *([] if tau_span else [0.0]))
 
 
 def _uniform(bounds, r):
@@ -115,25 +91,37 @@ def _draw(
     n: int,
     *,
     lambda_max: float = 8.0,
-    gap_max: float = 4.0,
     tau_span: float = 0.0,
 ) -> ModelParams:
-    """n random parameter points as one batch, every knob a column: bitwise
-    the points that n random_model_params calls with the same arguments
-    draw, from the same rng.random() calls in the same order.
-    random_model_params is not a view of one row of it: numpy's per-call
-    overhead would make it about five times slower."""
-    bounds = _bounds(lambda_max, gap_max, tau_span)
+    """n random parameter points as one batch, every knob a column, each
+    drawn by rng.uniform over its bound in ModelParams field order, point
+    after point."""
+    bounds = _bounds(lambda_max, tau_span)
     r = np.fromiter(iter(rng.random, None), float, n * len(bounds)).reshape(n, len(bounds))
     return ModelParams(*_uniform(bounds, r), *([] if tau_span else [np.zeros(n)]))
 
 
+def random_model_params(
+    rng: random.Random,
+    *,
+    lambda_max: float = 8.0,
+    tau_span: float = 0.0,
+) -> ModelParams:
+    """One random parameter point with every knob exercised: the one row of
+    _draw(rng, 1).
+
+    Couplings may be zero; separations keep away from the coincidence
+    limit handled by omega's short-distance series.
+    """
+    return _row(_draw(rng, 1, lambda_max=lambda_max, tau_span=tau_span), 0)
+
+
 def _decade_draw(rng: random.Random, n: int) -> ModelParams:
     """n random_decade_params points as one batch, every knob a column.
-    Per draw the rng calls keep the scalar draw's order: rng.uniform for
-    log10 L, log10 |dt| and random_model_params' knobs, then rng.choice
-    for dt's sign.  10 ** x is Python's pow; numpy's is an ulp off for 1 x in 20."""
-    bounds = [(-3.0, 8.0)] * 2 + _bounds(5.0, 4.0, 0.0)
+    Per draw the rng calls run in this order: rng.uniform for log10 L,
+    log10 |dt| and random_model_params' knobs, then rng.choice for dt's
+    sign.  10 ** x is Python's pow; numpy's is an ulp off for 1 x in 20."""
+    bounds = [(-3.0, 8.0)] * 2 + _bounds(5.0, 0.0)
     r = np.array([[*(rng.random() for _ in bounds), rng.choice((-1.0, 1.0))] for _ in range(n)])
     exponents, knobs = np.split(_uniform(bounds, r[:, :-1]), [2])
     separation, delay = (np.array([10.0**x for x in v]) for v in exponents.tolist())
@@ -145,7 +133,7 @@ def random_decade_params(rng: random.Random) -> ModelParams:
     log-uniform over [1e-3, 1e8] widths, the delay with a random sign;
     the other knobs are drawn as random_model_params(lambda_max=5) draws
     them: the one row of _decade_draw(rng, 1)."""
-    return ModelParams(*(v.item() for v in vars(_decade_draw(rng, 1)).values()))
+    return _row(_decade_draw(rng, 1), 0)
 
 
 def _worst(errors) -> float:
@@ -213,25 +201,12 @@ def _check_correlators(rng: random.Random, decades: random.Random, points: int) 
 
 
 def _check_assembly(rng: random.Random, points: int) -> CheckResult:
-    # _batch_states has already checked the draws and their correlators as
-    # InitialState and CorrelatorSet would; this mask adds the checks of
-    # _real_part and from_elements on the appendix route's elements
+    # entrywise against the runtime state, which _batch_states has
+    # validated; a population's imaginary dust counts in its modulus
     p = _draw(rng, points, tau_span=5.0)
     correlators, state = _batch_states(p)
-    with np.errstate(all="ignore"):
-        elements = _appendix(p.theta, *correlators)
-        ok, diagonals = _state_ok(*np.real(elements[:4]), *elements[4:])
-    ok &= _real_ok(elements[:4])
-
-    def replay(i):  # the draw alone through the scalar view
-        theta, *c = (v[i].item() for v in (p.theta, *correlators))
-        assemble_appendix(InitialState(theta), CorrelatorSet(*c))
-
-    found = _failure(ok, replay)
-    if found is not None:
-        raise found[1]
-    other = (*diagonals, *elements[4:])
-    worst = _worst([_modulus(x - y) for x, y in zip(state, other)])
+    elements = _appendix(p.theta, *correlators)
+    worst = _worst([_modulus(x - y) for x, y in zip(state, elements)])
     return CheckResult(
         "assembly-dual-route",
         worst,

@@ -9,10 +9,7 @@ working precision instead of the result.
 import random
 
 import mpmath
-import numpy as np
 import pytest
-
-from udwpair import random_model_params
 
 
 def dawson_reference(x: float) -> float:
@@ -43,11 +40,11 @@ def draw_grid():
     """The 10^4-point random parameter grid shared by the physicality and
     dual-route acceptance checks (one batch, several consumers)."""
     from udwpair import XDensityMatrix
-    from udwpair.sweep_engine import ModelParams, _batch_states
+    from udwpair.sweep_engine import _batch_states, _row
+    from udwpair.verify import _draw
 
-    rng = random.Random(20260815)
-    points = [random_model_params(rng) for _ in range(10_000)]
-    columns = zip(*(vars(p).values() for p in points))
-    state = _batch_states(ModelParams(*map(np.array, columns)))[1]
+    # one column draw: bit for bit the points of 10^4 random_model_params calls
+    batch = _draw(random.Random(20260815), 10_000)
+    state = _batch_states(batch)[1]
     rows = zip(*(column.tolist() for column in state))
-    return [(p, XDensityMatrix(*row)) for p, row in zip(points, rows)]
+    return [(_row(batch, i), XDensityMatrix(*row)) for i, row in enumerate(rows)]

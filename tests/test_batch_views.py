@@ -1,8 +1,8 @@
 """Property tests: every batched oracle kernel equals its public scalar
 view point by point; the runtime views of one point, point_state and
-evaluate_point, equal their rows of a batch; the column drawer equals
-repeated random_model_params calls bit for bit, and the decade drawer
-equals the scalar decade draw; and both correlator kernels keep kappa
+evaluate_point, equal their rows of a batch; the column drawers equal
+their draws written out point by point, bit for bit, and the public draws
+are their one-row views; and both correlator kernels keep kappa
 odd and omega even in the delay.  All compare exactly."""
 
 import math
@@ -37,7 +37,7 @@ from udwpair.detector_state import _appendix, _dense, _modulus, _moment
 from udwpair.field_correlators import _correlators, _oracle
 from udwpair.quantum_measures import _negativity_closed, _negativity_full, _spectrum_closed
 from udwpair.sweep_engine import ModelParams, _batch_states
-from udwpair.verify import _decade_draw, _draw, random_decade_params
+from udwpair.verify import _bounds, _decade_draw, _draw, random_decade_params
 
 # Fixed examples, no example database: the same cases on every run, and
 # nothing written next to the checkout.  No shrinking either: a failing
@@ -151,6 +151,13 @@ def test_runtime_views_equal_their_batch_rows(points):
         assert evaluate_point(alone)[1:] == run_sweep(spec)[0][1:]
 
 
+def _scalar_params(rng, lambda_max=8.0, tau_span=0.0):
+    # the point draw written out point by point, as the reference order and
+    # arithmetic of the rng calls: rng.uniform over each knob's bound
+    values = [rng.uniform(lo, hi) for lo, hi in _bounds(lambda_max, tau_span)]
+    return ModelParams(*values, *([] if tau_span else [0.0]))
+
+
 @_SETTINGS
 @given(
     st.integers(0, 2**32 - 1),
@@ -160,12 +167,13 @@ def test_runtime_views_equal_their_batch_rows(points):
 )
 def test_column_draws_equal_repeated_point_draws(seed, n, lambda_max, tau_span):
     batch_rng, point_rng = random.Random(seed), random.Random(seed)
-    kwargs = {"lambda_max": lambda_max, "tau_span": tau_span}
-    batch = _draw(batch_rng, n, **kwargs)
-    points = [random_model_params(point_rng, **kwargs) for _ in range(n)]
+    batch = _draw(batch_rng, n, lambda_max=lambda_max, tau_span=tau_span)
+    points = [_scalar_params(point_rng, lambda_max, tau_span) for _ in range(n)]
     for name, column in vars(batch).items():
         assert [getattr(q, name).hex() for q in points] == [v.hex() for v in column.tolist()]
     assert batch_rng.getstate() == point_rng.getstate()
+    one = random_model_params(random.Random(seed), lambda_max=lambda_max, tau_span=tau_span)
+    assert one == points[0]
 
 
 def _scalar_decade_params(rng):
@@ -173,7 +181,7 @@ def _scalar_decade_params(rng):
     # the rng calls: two exponents, the other knobs, then the delay's sign
     separation, delay = (10.0 ** rng.uniform(-3.0, 8.0) for _ in range(2))
     return replace(
-        random_model_params(rng, lambda_max=5.0),
+        _scalar_params(rng, lambda_max=5.0),
         separation=separation,
         delay=rng.choice((-1.0, 1.0)) * delay,
     )

@@ -22,9 +22,8 @@ from udwpair.field_correlators import (
     _MAX_PANELS,
     _PI2,
     _ROTATED_NODES,
+    _correlators,
     _gauss_legendre,
-    _kappa_direct,
-    _kappa_small_l,
     _kspace,
     _omega_direct,
     _omega_small_l,
@@ -133,17 +132,49 @@ def test_large_time_origin_matches_point_state():
 
 
 def test_short_distance_branch_continuity():
-    # the dedicated small-separation series must meet the direct formula
-    # at the dispatch boundary
+    # omega's small-separation series must meet its direct formula at the
+    # dispatch boundary
     for sigma in (1.0, 0.7):
         l = 1e-4 * sigma
         for dtau in (0.5, 1.0, 3.0, 5.0, 8.0):
-            kd = _kappa_direct(1.0, l, dtau, sigma)
-            ks = _kappa_small_l(1.0, l, dtau, sigma)
-            assert abs(kd - ks) <= 1e-10 * max(abs(kd), 1e-300)
             wd = _omega_direct(1.0, l, dtau, sigma)
             ws = _omega_small_l(1.0, l, dtau, sigma)
             assert abs(wd - ws) <= 1e-10 * max(abs(wd), 1e-300)
+
+
+def _kappa_reference(sep, delay, sigma):
+    """Unit-coupling kappa of the exact input doubles at 60 digits: the
+    difference of Gaussians over L, and its limit -2 d exp(-d^2 / 2) at
+    L = 0, with d = dt / sigma."""
+    with mpmath.workdps(60):
+        l, t, s = (mpmath.mpf(v) for v in (sep, delay, sigma))
+        pref = mpmath.sqrt(mpmath.pi / 2) / (4 * mpmath.pi**2 * s)
+        if l == 0:
+            return float(pref * -2 * t / s**2 * mpmath.exp(-((t / s) ** 2) / 2))
+        gauss = (mpmath.exp(-(((t + sign * l) / s) ** 2) / 2) for sign in (1, -1))
+        return float(pref / l * (next(gauss) - next(gauss)))
+
+
+def test_kappa_is_accurate_in_relative_terms_over_decades():
+    # L and |dt| in {0} and 41 log-spaced widths from 1e-12 to 1e8, both
+    # delay signs; the allowance grows with the exponent (|dt| - L)^2 /
+    # 2 sigma^2, whose rounding exp turns into relative error
+    widths = [0.0, *np.logspace(-12.0, 8.0, 41)]
+    rows = [
+        (l, sign * d, s)
+        for s in (0.5, 1.0, 2.0)
+        for l in widths
+        for d in widths
+        for sign in (1.0, -1.0)
+    ]
+    ref = np.array([_kappa_reference(*row) for row in rows])
+    normal = np.abs(ref) >= np.finfo(float).tiny
+    assert normal.sum() > 4000
+    sep, delay, sigma = np.array(rows)[normal].T
+    kappa = _correlators(1.0, 1.0, 1.0, 1.0, sep, delay, sigma)[2]
+    allowance = 4.0 * np.finfo(float).eps * (1.0 + (np.abs(delay) - sep) ** 2 / (2.0 * sigma**2))
+    excess = np.abs(kappa - ref[normal]) / (np.abs(ref[normal]) * allowance)
+    assert excess.max() <= 1.0, np.array(rows)[normal][np.argmax(excess)]
 
 
 def test_coincident_detectors_have_finite_correlators():

@@ -1,7 +1,7 @@
 """The self-check battery passes on working code over several seeds, and
 fails on what it is meant to catch: a nan discrepancy fails its check, and
-a draw that fails inside a batched oracle raises the error that draw
-raises alone."""
+a draw whose appendix state is off fails the assembly check, which the CLI
+reports with the other checks."""
 
 import random
 import time
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from udwpair import AssemblyError, CorrelatorSet, InitialState, assemble_appendix
-from udwpair import detector_state, verify
+from udwpair import cli, detector_state, verify
 
 
 def _nan_at(values, i=5):
@@ -85,9 +85,10 @@ def test_a_nan_discrepancy_fails_its_check(monkeypatch, check, kernel, plant):
         assert "1 disagreements" in result.detail
 
 
-def test_a_failing_appendix_draw_raises_its_scalar_error(monkeypatch):
+def test_a_failing_appendix_draw_fails_the_assembly_check(monkeypatch, capsys):
     # push rho11 of two draws of the batched appendix route off trace; the
-    # scalar view runs the same kernel, so each draw fails alone too
+    # check compares the routes entrywise, so it scores the bump, and the
+    # scalar view runs the same kernel, so each draw alone raises
     appendix = detector_state._appendix
     inputs = []
 
@@ -101,12 +102,17 @@ def test_a_failing_appendix_draw_raises_its_scalar_error(monkeypatch):
 
     monkeypatch.setattr(detector_state, "_appendix", planted)
     monkeypatch.setattr(verify, "_appendix", planted)
-    with pytest.raises(AssemblyError) as batched:
-        verify.run_all(seed=0, points=20)
+    results = verify.run_all(seed=0, points=20)
+    assert [r.passed for r in results] == [r.name != "assembly-dual-route" for r in results]
+    assert results[2].name == "assembly-dual-route" and results[2].worst >= 1e-6
+    # the CLI prints all six lines and exits 1
+    assert cli.cmd_verify(seed=0, points=20) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == list(_CHECKS)
+    assert "FAIL" in lines[2]
     theta, *correlators = inputs[0]
     with pytest.raises(AssemblyError) as alone:
         assemble_appendix(InitialState(theta), CorrelatorSet(*correlators))
-    assert str(batched.value) == str(alone.value)
     assert str(alone.value) == "trace deviates from 1 by 1.000e-06"
 
 
