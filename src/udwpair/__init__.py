@@ -6,93 +6,26 @@ X-shaped 4x4 density matrix fixed by four field correlator scalars, all of
 which have closed forms here alongside independent quadrature oracles, and
 by the two detectors' gap phases.  On top sit the standard correlation
 measures and a sweep engine that reproduces the survey figures.
+
+The package exports each module's __all__, the one list of its public names.
 """
 
-from .detector_state import (
-    AssemblyError,
-    FSignature,
-    InitialState,
-    XDensityMatrix,
-    assemble_appendix,
-    assemble_main,
-    f_jklm,
-)
-from .field_correlators import (
-    CorrelatorSet,
-    DetectorParams,
-    PairGeometry,
-    QuadratureError,
-    closed_form_correlators,
-    oracle_correlators,
-)
-from .quantum_measures import (
-    MeasureSet,
-    Spectrum4,
-    coherence_l1,
-    coherence_rec,
-    measure_set,
-    negativity_closed,
-    negativity_full,
-    spectrum_closed,
-    spectrum_general,
-)
-from .special_functions import dawson
-from .sweep_engine import (
-    CSV_HEADER,
-    VARY_CHOICES,
-    ModelParams,
-    SweepError,
-    SweepRow,
-    SweepSpec,
-    detector_pair,
-    emit_csv,
-    evaluate_point,
-    figure_preset,
-    point_state,
-    run_sweep,
-)
-from .verify import CheckResult, random_model_params, run_all
+# importing a submodule also binds it here, for __all__ below
+from .detector_state import *  # noqa: F403
+from .field_correlators import *  # noqa: F403
+from .quantum_measures import *  # noqa: F403
+from .special_functions import *  # noqa: F403
+from .sweep_engine import *  # noqa: F403
+from .verify import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssemblyError",
-    "CSV_HEADER",
-    "CheckResult",
-    "CorrelatorSet",
-    "DetectorParams",
-    "FSignature",
-    "InitialState",
-    "MeasureSet",
-    "ModelParams",
-    "PairGeometry",
-    "QuadratureError",
-    "Spectrum4",
-    "SweepError",
-    "SweepRow",
-    "SweepSpec",
-    "VARY_CHOICES",
-    "XDensityMatrix",
-    "assemble_appendix",
-    "assemble_main",
-    "closed_form_correlators",
-    "coherence_l1",
-    "coherence_rec",
-    "dawson",
-    "detector_pair",
-    "emit_csv",
-    "evaluate_point",
-    "f_jklm",
-    "figure_preset",
-    "measure_set",
-    "negativity_closed",
-    "negativity_full",
-    "oracle_correlators",
-    "point_state",
-    "random_model_params",
-    "run_all",
-    "run_sweep",
-    "spectrum_closed",
-    "spectrum_general",
+    *detector_state.__all__,
+    *field_correlators.__all__,
+    *quantum_measures.__all__,
+    *special_functions.__all__,
+    *sweep_engine.__all__,
+    *verify.__all__,
     "__version__",
 ]

@@ -89,6 +89,17 @@ def _modulus(z):
 _POPULATIONS = ("rho11", "rho22", "rho33", "rho44")
 
 
+def _block_eigs(a, b, c):
+    # c is the modulus of the off-diagonal entry.  hypot form for the
+    # discriminant, then the small root via the determinant so it never
+    # suffers cancellation
+    half = 0.5 * (a + b)
+    d = np.hypot(0.5 * (a - b), c)
+    hi = half + d
+    lo = np.divide(a * b - c * c, hi, out=np.asarray(half - d), where=hi > 0.0)
+    return lo, hi
+
+
 def _margins(rho11, rho22, rho33, rho44, m14, m23):
     """Invariant margins of an X state, elementwise over arrays, from the
     populations and coherence moduli: the trace deviation, the populations
@@ -97,7 +108,7 @@ def _margins(rho11, rho22, rho33, rho44, m14, m23):
     dev = rho11 + rho22 + rho33 + rho44 - 1.0
     d = [np.maximum(0.0, v) for v in (rho11, rho22, rho33, rho44)]  # keeps -0.0
     blocks = [
-        (mod * mod - d1 * d2, 0.5 * (d1 + d2) - np.hypot(0.5 * (d1 - d2), mod))
+        (mod * mod - d1 * d2, _block_eigs(d1, d2, mod)[0])
         for d1, d2, mod in ((d[0], d[3], m14), (d[1], d[2], m23))
     ]
     return dev, d, blocks

@@ -170,13 +170,18 @@ def _kappa(cprod, sep, delay, sigma):
     # exp(-(d - l)^2 / 2) = exp(-(d - l)^2 / 2) expm1(x), x = -2 d l, does
     # not cancel; over l it is -2 d exp(-(d - l)^2 / 2) expm1(x) / x, and
     # expm1(x) / x is 1 at x = 0.  kappa is odd in d, and 0 - d is +0 at
-    # zero delay, as the difference of Gaussians is and -d is not
+    # zero delay, as the difference of Gaussians is and -d is not.  Where 2 d l
+    # overflows, (0 - d) expm1(x) / x takes its limit -sign(d) / (2 l)
     d = delay / sigma
-    x = -2.0 * np.abs(d) * (sep / sigma)
-    ratio = np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0)
+    l = sep / sigma
+    with np.errstate(over="ignore"):
+        x = -2.0 * np.abs(d) * l
+        far = np.isinf(x)
+        odd = np.divide(-np.sign(d), 2.0 * l, out=0.0 - d, where=far)
+    ratio = np.divide(np.expm1(x), x, out=np.ones_like(x), where=(x != 0.0) & ~far)
     gauss = np.exp(-0.5 * ((np.abs(delay) - sep) / sigma) ** 2)
     pref = cprod / (2.0 * _PI2 * sigma * sigma) * math.sqrt(math.pi / 2.0)
-    return pref * (0.0 - d) * ratio * gauss
+    return pref * odd * ratio * gauss
 
 
 def _omega_direct(cprod, sep, delay, sigma):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector_state import XDensityMatrix, _dense, _modulus
+from .detector_state import XDensityMatrix, _block_eigs, _dense, _modulus
 
 __all__ = [
     "MeasureSet",
@@ -90,17 +90,6 @@ def spectrum_closed(m: XDensityMatrix) -> Spectrum4:
 
 def _l1(m14, m23):
     return 2.0 * m14 + 2.0 * m23
-
-
-def _block_eigs(a, b, c):
-    # c is the modulus of the off-diagonal entry.  hypot form for the
-    # discriminant, then the small root via the determinant so it never
-    # suffers cancellation
-    half = 0.5 * (a + b)
-    d = np.hypot(0.5 * (a - b), c)
-    hi = half + d
-    lo = np.divide(a * b - c * c, hi, out=np.asarray(half - d), where=hi > 0.0)
-    return lo, hi
 
 
 def _spectrum(rho11, rho22, rho33, rho44, m14, m23):

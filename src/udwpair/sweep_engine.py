@@ -37,8 +37,6 @@ __all__ = [
     "SweepSpec",
     "SweepRow",
     "SweepError",
-    "KNOBS",
-    "FIGURE_PRESETS",
     "VARY_CHOICES",
     "CSV_HEADER",
     "detector_pair",
@@ -301,9 +299,9 @@ _ROW_FORMAT = ",".join(["%.17g"] * len(SweepRow._fields))
 
 def emit_csv(rows, sink) -> int:
     """Write rows as CSV with 17 significant digits (lossless float
-    round-trip).  Returns the number of bytes written."""
+    round-trip).  Returns the number of bytes written: the text is ASCII."""
     if not rows:
         raise ValueError("no rows to emit")
     data = "\n".join([CSV_HEADER, *(_ROW_FORMAT % row for row in rows)]) + "\n"
     sink.write(data)
-    return len(data.encode("utf-8"))
+    return len(data)

@@ -25,7 +25,7 @@ from .quantum_measures import (
 from .special_functions import _dawson
 from .sweep_engine import ModelParams, _batch_states, _row
 
-__all__ = ["CheckResult", "random_model_params", "random_decade_params", "run_all"]
+__all__ = ["CheckResult", "random_model_params", "run_all"]
 
 
 @dataclass(frozen=True)
@@ -116,12 +116,15 @@ def random_model_params(
     return _row(_draw(rng, 1, lambda_max=lambda_max, tau_span=tau_span), 0)
 
 
+_DECADE_EXPONENTS = (-3.0, 8.0)  # log10 of the narrowest and widest L and |dt|
+
+
 def _decade_draw(rng: random.Random, n: int) -> ModelParams:
     """n random_decade_params points as one batch, every knob a column.
     Per draw the rng calls run in this order: rng.uniform for log10 L,
     log10 |dt| and random_model_params' knobs, then rng.choice for dt's
     sign.  10 ** x is Python's pow; numpy's is an ulp off for 1 x in 20."""
-    bounds = [(-3.0, 8.0)] * 2 + _bounds(5.0, 0.0)
+    bounds = [_DECADE_EXPONENTS] * 2 + _bounds(5.0, 0.0)
     r = np.array([[*(rng.random() for _ in bounds), rng.choice((-1.0, 1.0))] for _ in range(n)])
     exponents, knobs = np.split(_uniform(bounds, r[:, :-1]), [2])
     separation, delay = (np.array([10.0**x for x in v]) for v in exponents.tolist())

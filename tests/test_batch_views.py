@@ -5,7 +5,6 @@ their draws written out point by point, bit for bit, and the public draws
 are their one-row views; and both correlator kernels keep kappa
 odd and omega even in the delay.  All compare exactly."""
 
-import math
 import random
 from dataclasses import replace
 
@@ -37,7 +36,13 @@ from udwpair.detector_state import _appendix, _dense, _modulus, _moment
 from udwpair.field_correlators import _correlators, _oracle
 from udwpair.quantum_measures import _negativity_closed, _negativity_full, _spectrum_closed
 from udwpair.sweep_engine import ModelParams, _batch_states
-from udwpair.verify import _bounds, _decade_draw, _draw, random_decade_params
+from udwpair.verify import (
+    _DECADE_EXPONENTS,
+    _bounds,
+    _decade_draw,
+    _draw,
+    random_decade_params,
+)
 
 # Fixed examples, no example database: the same cases on every run, and
 # nothing written next to the checkout.  No shrinking either: a failing
@@ -62,30 +67,17 @@ SIGNATURES = [(j, k, l, m) for j in (1, -1) for k in (1, -1) for l in (1, -1) fo
 
 # one point of the domain random_model_params draws from (time origin
 # within +-5), knob by knob in ModelParams field order
-_POINT = st.tuples(
-    st.floats(0.0, math.pi / 2.0),
-    st.floats(0.0, 8.0),
-    st.floats(0.0, 8.0),
-    st.floats(0.2, 2.0),
-    st.floats(0.2, 2.0),
-    st.floats(0.0, 4.0),
-    st.floats(0.0, 4.0),
-    st.floats(0.01, 10.0),
-    st.floats(-10.0, 10.0),
-    st.floats(-5.0, 5.0),
-)
+_POINT = st.tuples(*(st.floats(lo, hi) for lo, hi in _bounds(8.0, 5.0)))
 
 # one draw of the random_decade_params domain as correlator kernel
 # arguments (lambda_a, eta_a, lambda_b, eta_b, L, dt, sigma), at one of
 # several widths: L and |dt| log-uniform over [1e-3, 1e8], so that a batch
 # mixes the oracle's k-space and rotated-contour bands
+_KNOB = dict(zip(vars(ModelParams()), _bounds(5.0, 0.0)))
 _DECADE = st.tuples(
-    st.floats(0.0, 5.0),
-    st.floats(0.2, 2.0),
-    st.floats(0.0, 5.0),
-    st.floats(0.2, 2.0),
-    st.floats(-3.0, 8.0).map(lambda e: 10.0**e),
-    st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-3.0, 8.0)).map(
+    *(st.floats(*_KNOB[knob]) for knob in ("lambda_a", "eta_a", "lambda_b", "eta_b")),
+    st.floats(*_DECADE_EXPONENTS).map(lambda e: 10.0**e),
+    st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(*_DECADE_EXPONENTS)).map(
         lambda t: t[0] * 10.0 ** t[1]
     ),
     st.sampled_from([0.5, 1.0, 2.0]),
@@ -179,7 +171,7 @@ def test_column_draws_equal_repeated_point_draws(seed, n, lambda_max, tau_span):
 def _scalar_decade_params(rng):
     # the decade draw written out point by point, as the reference order of
     # the rng calls: two exponents, the other knobs, then the delay's sign
-    separation, delay = (10.0 ** rng.uniform(-3.0, 8.0) for _ in range(2))
+    separation, delay = (10.0 ** rng.uniform(*_DECADE_EXPONENTS) for _ in range(2))
     return replace(
         _scalar_params(rng, lambda_max=5.0),
         separation=separation,

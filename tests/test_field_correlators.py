@@ -22,8 +22,8 @@ from udwpair.field_correlators import (
     _MAX_PANELS,
     _PI2,
     _ROTATED_NODES,
-    _correlators,
     _gauss_legendre,
+    _kappa,
     _kspace,
     _omega_direct,
     _omega_small_l,
@@ -157,21 +157,17 @@ def _kappa_reference(sep, delay, sigma):
 
 def test_kappa_is_accurate_in_relative_terms_over_decades():
     # L and |dt| in {0} and 41 log-spaced widths from 1e-12 to 1e8, both
-    # delay signs; the allowance grows with the exponent (|dt| - L)^2 /
+    # delay signs, and L = |dt| where 2 |dt| L / sigma^2 passes the float
+    # range; the allowance grows with the exponent (|dt| - L)^2 /
     # 2 sigma^2, whose rounding exp turns into relative error
     widths = [0.0, *np.logspace(-12.0, 8.0, 41)]
-    rows = [
-        (l, sign * d, s)
-        for s in (0.5, 1.0, 2.0)
-        for l in widths
-        for d in widths
-        for sign in (1.0, -1.0)
-    ]
+    pairs = [(l, d) for l in widths for d in widths] + [(w, w) for w in (1e154, 1e160, 1e200)]
+    rows = [(l, sign * d, s) for s in (0.5, 1.0, 2.0) for l, d in pairs for sign in (1.0, -1.0)]
     ref = np.array([_kappa_reference(*row) for row in rows])
     normal = np.abs(ref) >= np.finfo(float).tiny
     assert normal.sum() > 4000
     sep, delay, sigma = np.array(rows)[normal].T
-    kappa = _correlators(1.0, 1.0, 1.0, 1.0, sep, delay, sigma)[2]
+    kappa = _kappa(1.0, sep, delay, sigma)
     allowance = 4.0 * np.finfo(float).eps * (1.0 + (np.abs(delay) - sep) ** 2 / (2.0 * sigma**2))
     excess = np.abs(kappa - ref[normal]) / (np.abs(ref[normal]) * allowance)
     assert excess.max() <= 1.0, np.array(rows)[normal][np.argmax(excess)]

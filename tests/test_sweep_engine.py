@@ -136,7 +136,7 @@ def test_csv_header_and_roundtrip():
     sink = io.StringIO()
     size = emit_csv(rows, sink)
     text = sink.getvalue()
-    assert size == len(text.encode("utf-8"))
+    assert text.isascii() and size == len(text.encode("utf-8"))
     lines = text.splitlines()
     assert lines[0] == CSV_HEADER == (
         "vary,f_a,f_b,kappa,omega,gamma,rho11,rho22,rho33,rho44,"
