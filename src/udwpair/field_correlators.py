@@ -19,10 +19,11 @@ gap phases:
 The rho14 phase is gamma = phase_a + phase_b and the rho23 phase is
 phase_a - phase_b.  The four field scalars are computed two independent
 ways: closed forms built on the Dawson function, and a radial
-momentum-space quadrature oracle (Gauss-Legendre panels of two
-oscillation periods in k, trig by angle addition per panel and per node,
-sinc by one divide; a rotated contour once the separation or delay spans
-many widths).  The test suite and verify hold the two routes against
+momentum-space quadrature oracle (nested Gauss-Kronrod panels of two
+oscillation periods in k, each integrand evaluated once for the value and
+its error estimate, trig by angle addition per panel and per node, sinc
+by one divide; a rotated contour once the separation or delay spans many
+widths).  The test suite and verify hold the two routes against
 each other to 1e-6 relative.  Both run elementwise over numpy arrays
 (the sweeps evaluate whole grids at once, verify whole batches of
 draws); the public functions evaluate one detector pair.
@@ -63,8 +64,7 @@ _SMALL_L_FRACTION = 1e-4
 _KMAX_OVER_SIGMA = 9.1
 _ENVELOPE_PANELS = math.ceil(_KMAX_OVER_SIGMA / 2.0)
 _MAX_PANELS = 64
-_K_NODES = 16
-_ROTATED_NODES = 16
+_NODES = 16  # Gauss nodes of the Gauss-Kronrod pair, which adds 17
 _ROTATED_EDGES = np.array([0.0, 1.0 / 27.0, 1.0 / 9.0, 1.0 / 3.0, 1.0])
 _ROTATED_CUT = 80.0
 _QUAD_ERROR_CEILING = 1e-9
@@ -171,15 +171,16 @@ def _kappa(cprod, sep, delay, sigma):
     # not cancel; over l it is -2 d exp(-(d - l)^2 / 2) expm1(x) / x, and
     # expm1(x) / x is 1 at x = 0.  kappa is odd in d, and 0 - d is +0 at
     # zero delay, as the difference of Gaussians is and -d is not.  Where 2 d l
-    # overflows, (0 - d) expm1(x) / x takes its limit -sign(d) / (2 l)
+    # overflows, (0 - d) expm1(x) / x takes its limit -sign(d) / (2 l), and
+    # where the Gaussian's exponent does, the Gaussian is 0
     d = delay / sigma
     l = sep / sigma
     with np.errstate(over="ignore"):
         x = -2.0 * np.abs(d) * l
         far = np.isinf(x)
         odd = np.divide(-np.sign(d), 2.0 * l, out=0.0 - d, where=far)
+        gauss = np.exp(-0.5 * ((np.abs(delay) - sep) / sigma) ** 2)
     ratio = np.divide(np.expm1(x), x, out=np.ones_like(x), where=(x != 0.0) & ~far)
-    gauss = np.exp(-0.5 * ((np.abs(delay) - sep) / sigma) ** 2)
     pref = cprod / (2.0 * _PI2 * sigma * sigma) * math.sqrt(math.pi / 2.0)
     return pref * odd * ratio * gauss
 
@@ -204,12 +205,14 @@ def _omega_small_l(cprod, sep, delay, sigma):
 
 def _omega(cprod, sep, delay, sigma):
     # Below separation = 1e-4 sigma the direct form divides a vanishing
-    # numerator by L (0/0 at coincidence); the series limit replaces it there.
-    small = sep < _SMALL_L_FRACTION * sigma
+    # numerator by L (0/0 at coincidence); the series limit replaces it
+    # there, evaluated on those rows alone.
+    args = np.broadcast_arrays(cprod, sep, delay, sigma)
+    small = args[1] < _SMALL_L_FRACTION * args[3]
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = _omega_direct(cprod, sep, delay, sigma)
+        out = _omega_direct(*args)
     if small.any():
-        out = np.where(small, _omega_small_l(cprod, sep, delay, sigma), out)
+        out[small] = _omega_small_l(*(v[small] for v in args))
     return out
 
 
@@ -249,66 +252,82 @@ def closed_form_correlators(
 
 
 @functools.cache
-def _gauss_legendre(n):
-    """(nodes on [0, 1], weights) of the n-node and 2n-node Gauss-Legendre
-    rules; the difference of their results is the error estimate.  Built
-    on first use, so importing udwpair does not load numpy.polynomial."""
-    return tuple(
-        (0.5 * (x + 1.0), 0.5 * w) for x, w in map(np.polynomial.legendre.leggauss, (n, 2 * n))
-    )
+def _gauss_kronrod(n):
+    """(nodes on [0, 1], weights) of the nested Gauss-Kronrod pair: the n
+    Gauss-Legendre nodes, then the n + 1 roots of the Stieltjes polynomial,
+    the Legendre series of degree n + 1 orthogonal to all lower degrees
+    under the weight P_n.  The weight columns are the n-node Gauss weights
+    (0 at the added nodes) and the Kronrod weights, exact to degree 3n + 1
+    (Piessens et al., QUADPACK, 1983).  Built on first use, so importing
+    udwpair does not load numpy.polynomial."""
+    leg = np.polynomial.legendre
+    gauss, gauss_w = leg.leggauss(n)
+    x, w = leg.leggauss(2 * n)  # exact for the triple products below
+    p = leg.legvander(x, n + 1)
+    triple = (p[:, :-1] * (w * p[:, n])[:, None]).T @ p  # int P_j P_n P_k, j <= n
+    stieltjes = np.append(np.linalg.solve(triple[:, :-1], -triple[:, -1]), 1.0)
+    nodes = np.concatenate((gauss, leg.legroots(stieltjes)))
+    # sum_i w_i P_j(x_i) = int P_j, which is 2 at j = 0 and 0 above
+    kronrod = np.linalg.solve(leg.legvander(nodes, 2 * n).T, np.eye(2 * n + 1)[0] * 2.0)
+    weights = np.column_stack((np.append(gauss_w, np.zeros(n + 1)), kronrod))
+    return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
 def _panels(sep, delay, sigma):
     # each panel spans at most two periods of the fastest oscillation,
-    # k (L + |dt|) = 4 pi, and at most two envelope widths 2/sigma: 24
-    # integrand evaluations a period, and the 16-node rule is exact there
-    # to rounding, so its difference from the 32-node rule is rounding
+    # k (L + |dt|) = 4 pi, and at most two envelope widths 2/sigma: there
+    # the 16-node Gauss rule is exact to rounding, and so is its Kronrod
+    # extension, so their difference is rounding
     oscillation = np.ceil(_KMAX_OVER_SIGMA * (sep + np.abs(delay)) / (4.0 * np.pi * sigma))
     return np.maximum(oscillation, _ENVELOPE_PANELS)
 
 
 def _kspace(sep, delay, sigma):
     """[I_f, I_kappa, I_omega] and their error estimates, over 1-D arrays:
-    Gauss-Legendre panels on [0, 9.1/sigma], every draw's panels laid end
+    Gauss-Kronrod panels on [0, 9.1/sigma], every draw's panels laid end
     to end in one array.  A node k = left + offset takes the sin and cos of
     k dt and k L by angle addition, from those of left dt and left L, once
-    per panel, and of offset dt and offset L, once per draw and node."""
+    per panel, and of offset dt and offset L, once per draw and node,
+    gathered to the panels by each product that uses them."""
     panels = _panels(sep, delay, sigma).astype(int)
+    starts = np.cumsum(panels) - panels
     owner = np.repeat(np.arange(sep.size), panels)  # the draw of each panel
     width = _KMAX_OVER_SIGMA / sigma / panels  # each draw's panel width
-    left = (np.arange(owner.size) - (np.cumsum(panels) - panels)[owner]) * width[owner]
+    left = (np.arange(owner.size) - starts[owner]) * width[owner]
     s, l = (v[owner, None] for v in (sigma, sep))
     dt_l = np.stack((delay, sep))  # dt and L, a row each
-    (sin_ld, sin_ll), (cos_ld, cos_ll) = (f(left * dt_l.take(owner, 1)) for f in (np.sin, np.cos))
-    sums = []
-    for x, w in _gauss_legendre(_K_NODES):
-        phase = width[:, None] * x * dt_l[..., None]  # offset dt and offset L, per draw
-        (sin_od, sin_ol), (cos_od, cos_ol) = (f(phase).take(owner, 1) for f in (np.sin, np.cos))
-        k = left[:, None] + width[owner, None] * x
-        damped = k * np.exp(-0.5 * (s * k) ** 2)
-        sin_kl = sin_ll[:, None] * cos_ol + cos_ll[:, None] * sin_ol
-        radial = damped * np.divide(sin_kl, k * l, out=np.ones_like(k), where=l > 0.0)  # sinc(kL)
-        i_f, cos_sum, sin_sum = (f @ w for f in (damped, radial * cos_od, radial * sin_od))
-        # sin(left dt) and cos(left dt) are the same at every node of a panel
-        integrals = (i_f, sin_ld * cos_sum + cos_ld * sin_sum, cos_ld * cos_sum - sin_ld * sin_sum)
-        sums.append(np.array([np.bincount(owner, width[owner] * v, sep.size) for v in integrals]))
-    return sums[1], np.abs(sums[1] - sums[0])
+    left_dt_l = (left * dt_l.take(owner, 1))[..., None]  # left dt and left L, per panel
+    (sin_ld, sin_ll), (cos_ld, cos_ll) = np.sin(left_dt_l), np.cos(left_dt_l)
+    x, w = _gauss_kronrod(_NODES)
+    phase = width[:, None] * x * dt_l[..., None]  # offset dt and offset L, per draw
+    (sin_od, sin_ol), (cos_od, cos_ol) = np.sin(phase), np.cos(phase)
+    k = left[:, None] + width[owner, None] * x
+    damped = k * np.exp(-0.5 * (s * k) ** 2)
+    sin_kl = sin_ll * cos_ol[owner] + cos_ll * sin_ol[owner]
+    radial = damped * np.divide(sin_kl, k * l, out=np.ones_like(k), where=l > 0.0)  # sinc(kL)
+    i_f, cos_sum, sin_sum = (damped @ w, (radial * cos_od[owner]) @ w, (radial * sin_od[owner]) @ w)
+    # sin(left dt) and cos(left dt) are the same at every node of a panel
+    integrals = (i_f, sin_ld * cos_sum + cos_ld * sin_sum, cos_ld * cos_sum - sin_ld * sin_sum)
+    # per draw, [Gauss, Kronrod] sums of the three integrals
+    gauss, kronrod = np.add.reduceat(width[owner, None, None] * np.stack(integrals, 1), starts).T
+    return kronrod, np.abs(gauss - kronrod)
 
 
-def _sine_transform(a, rule):
+def _sine_transform(a):
     """int_0^inf exp(-k^2/2) sin(a k) dk = int_0^|a| exp(s^2/2 - |a| s) ds,
-    odd in a, by one Gauss-Legendre rule on geometric panels.  The
-    integrand is below exp(-s |a| / 2), so the range stops at
-    s = _ROTATED_CUT / |a| when that comes first."""
+    odd in a, by the Gauss-Kronrod pair on geometric panels: the Gauss
+    sum, then the Kronrod sum, along a new first axis.  The integrand is
+    below exp(-s |a| / 2), so the range stops at s = _ROTATED_CUT / |a|
+    when that comes first."""
     m = np.abs(a)
     with np.errstate(divide="ignore"):
         top = np.minimum(m, _ROTATED_CUT / m)
     edges = top[..., None] * _ROTATED_EDGES
     widths = np.diff(edges)
-    x, w = rule
+    x, w = _gauss_kronrod(_NODES)
     s = edges[..., :-1, None] + widths[..., None] * x
-    total = (np.exp(s * (0.5 * s - m[..., None, None])) @ w * widths).sum(axis=-1)
-    return np.copysign(total, a)
+    total = (np.exp(s * (0.5 * s - m[..., None, None])) @ w * widths[..., None]).sum(axis=-2)
+    return np.copysign(np.moveaxis(total, -1, 0), a)
 
 
 def _rotated(sep, delay, sigma):
@@ -323,14 +342,13 @@ def _rotated(sep, delay, sigma):
     with np.errstate(all="ignore"):  # L = 0 gives estimates that are not finite
         a = np.stack(((sep + delay) / sigma, (sep - delay) / sigma))
         gauss = math.sqrt(math.pi / 2.0) * np.exp(-0.5 * a * a)
-        sine_n, sine_2n = (_sine_transform(a, rule) for rule in _gauss_legendre(_ROTATED_NODES))
+        sine_g, sine_k = _sine_transform(a)
         scale = 0.5 / (sep * sigma)
-        values = np.array([gauss[1] - gauss[0], sine_2n[0] + sine_2n[1]])
+        values = np.array([gauss[1] - gauss[0], sine_k[0] + sine_k[1]])
         # each transform's rule difference plus one rounding unit, which the
         # division by L amplifies as L -> 0
-        err = np.array(
-            [eps * gauss.sum(0), (np.abs(sine_n - sine_2n) + eps * np.abs(sine_2n)).sum(0)]
-        )
+        sine_err = np.abs(sine_g - sine_k) + eps * np.abs(sine_k)
+        err = np.array([eps * gauss.sum(0), sine_err.sum(0)])
         return scale * values, scale * err
 
 
@@ -344,16 +362,15 @@ def _oracle(lam_a, eta_a, lam_b, eta_b, sep, delay, sigma):
     )
     far = _panels(sep, delay, sigma) > _MAX_PANELS
     near = ~far
-    values, err = np.empty((2, 3, sep.size))
-    values[:, near], err[:, near] = _kspace(sep[near], delay[near], sigma[near])
-    if far.any():
-        # a far draw takes only I_f from k space; it depends on sigma alone,
-        # so it is summed once per width, on the envelope panels
-        widths, which = np.unique(sigma[far], return_inverse=True)
-        zero = np.zeros_like(widths)
-        (i_f, _, _), f_err = _kspace(zero, zero, widths)
-        values[0, far], err[0, far] = i_f[which], f_err[0, which]
-        values[1:, far], err[1:, far] = _rotated(sep[far], delay[far], sigma[far])
+    # a far draw takes only I_f from k space; it depends on sigma alone, so
+    # it is summed once per width, as an L = dt = 0 row after the near draws
+    widths, which = np.unique(sigma[far], return_inverse=True)
+    zero = np.zeros_like(widths)
+    rows = [np.concatenate((v[near], t)) for v, t in ((sep, zero), (delay, zero), (sigma, widths))]
+    row = np.cumsum(near) - 1  # each draw's row of the k-space batch
+    row[far] = np.count_nonzero(near) + which
+    values, err = np.array(_kspace(*rows))[..., row]
+    values[1:, far], err[1:, far] = _rotated(sep[far], delay[far], sigma[far])
     i_f, i_kappa, i_omega = values
     bad = ~(err <= _QUAD_ERROR_CEILING)  # a nan estimate fails too
     if bad.any():
@@ -387,16 +404,17 @@ def oracle_correlators(a: DetectorParams, b: DetectorParams, g: PairGeometry) ->
         omega = -(C / pi^2)   int_0^inf k exp(-sigma^2 k^2/2) sinc(kL) cos(k dt) dk
 
     with C the coupling product.  Up to (L + |dt|) / sigma = 256 pi / 9.1,
-    about 88.4, they are summed in k by 16-node Gauss-Legendre panels, each
+    about 88.4, they are summed in k by 33-node Gauss-Kronrod panels, each
     at most two oscillation periods and two envelope widths 2/sigma wide.
     Past that the panels would be too many: I_f, which depends on sigma
-    alone, is summed once per width, and kappa and omega move to the
-    rotated contour of _rotated (numerical steepest descent, Huybrechs and
-    Vandewalle, SIAM J. Numer. Anal. 44, 1026, 2006), whose sine transform
-    does not oscillate; its kappa is the exact Gaussian that the closed
-    form also uses.  Neither band shares code with the closed forms (no
+    alone, is summed once per width in the same k-space batch, and kappa
+    and omega move to the rotated contour of _rotated (numerical steepest
+    descent, Huybrechs and Vandewalle, SIAM J. Numer. Anal. 44, 1026,
+    2006), whose sine transform does not oscillate; its kappa is the exact
+    Gaussian that the closed form also uses.  Neither band shares code with the closed forms (no
     Dawson function), so this route serves as their independent oracle.
-    The error estimate is the difference between the n-node and 2n-node
-    rules; QuadratureError is raised when it passes 1e-9 absolute.
+    The error estimate is the difference between the 33-node Kronrod sum
+    and the 16-node Gauss sum on the same integrand values;
+    QuadratureError is raised when it passes 1e-9 absolute.
     """
     return _view(_oracle, a, b, g)

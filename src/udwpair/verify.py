@@ -101,6 +101,18 @@ def _draw(
     return ModelParams(*_uniform(bounds, r), *([] if tau_span else [np.zeros(n)]))
 
 
+def _joined(*batches) -> ModelParams:
+    # batches of points as one, column by column
+    return ModelParams(*map(np.concatenate, zip(*(vars(b).values() for b in batches))))
+
+
+def _state_draw(rng: random.Random, assembly: int, each: int) -> ModelParams:
+    """The state checks' points as one batch: the assembly check's, with
+    random time origins, then `each` apiece for the spectrum, physicality
+    and negativity checks, as four _draw calls in that order draw them."""
+    return _joined(_draw(rng, assembly, tau_span=5.0), _draw(rng, 3 * each))
+
+
 def random_model_params(
     rng: random.Random,
     *,
@@ -178,16 +190,14 @@ def _check_dawson() -> CheckResult:
     )
 
 
-# Each sampled check draws all its points as columns and evaluates both
-# its runtime route and its oracle on them as one batch.
+# Each sampled check evaluates both its runtime route and its oracle on
+# its points, as columns of one batch.
 
 
 def _check_correlators(rng: random.Random, decades: random.Random, points: int) -> CheckResult:
     # error scale: relative above 1e-3, absolute (1e-9 at the tolerance)
     # below, folded into one ratio against max(|oracle|, 1e-3)
-    usual = _draw(rng, points, lambda_max=5.0)
-    far = _decade_draw(decades, points)
-    p = ModelParams(*map(np.concatenate, zip(vars(usual).values(), vars(far).values())))
+    p = _joined(_draw(rng, points, lambda_max=5.0), _decade_draw(decades, points))
     args = (p.lambda_a, p.eta_a, p.lambda_b, p.eta_b, p.separation, p.delay, 1.0)
     worst = _worst(
         [
@@ -203,23 +213,20 @@ def _check_correlators(rng: random.Random, decades: random.Random, points: int) 
     )
 
 
-def _check_assembly(rng: random.Random, points: int) -> CheckResult:
+def _check_assembly(theta, correlators, state) -> CheckResult:
     # entrywise against the runtime state, which _batch_states has
     # validated; a population's imaginary dust counts in its modulus
-    p = _draw(rng, points, tau_span=5.0)
-    correlators, state = _batch_states(p)
-    elements = _appendix(p.theta, *correlators)
+    elements = _appendix(theta, *correlators)
     worst = _worst([_modulus(x - y) for x, y in zip(state, elements)])
     return CheckResult(
         "assembly-dual-route",
         worst,
         1e-12,
-        f"{points} random draws with random time origins",
+        f"{theta.size} random draws with random time origins",
     )
 
 
-def _check_spectrum(rng: random.Random, points: int) -> CheckResult:
-    state = _batch_states(_draw(rng, points))[1]
+def _check_spectrum(state) -> CheckResult:
     moduli = _moduli(state)
     general = _spectrum(*state[:4], *moduli)
     closed = _spectrum_closed(*state[:4], *moduli)
@@ -228,31 +235,29 @@ def _check_spectrum(rng: random.Random, points: int) -> CheckResult:
         "spectrum-dual-route",
         worst,
         1e-12,
-        f"{points} random draws",
+        f"{state[0].size} random draws",
     )
 
 
-def _check_physicality(rng: random.Random, points: int) -> CheckResult:
+def _check_physicality(state) -> CheckResult:
     # two tolerances folded into one normalized ratio:
     # |trace - 1| / 1e-12 and (negative eigenvalue excursion) / 1e-10
-    state = _batch_states(_draw(rng, points))[1]
     # the eigensolver may reject a matrix that is not finite; its dip is nan
     finite = np.isfinite(state).all(axis=0)
-    dip = np.full(points, np.nan)
+    dip = np.full(finite.size, np.nan)
     dip[finite] = np.maximum(0.0, -np.linalg.eigvalsh(_dense(*state)[finite])[:, 0])
     worst = _worst([np.abs(_trace(state[:4]) - 1.0) / 1e-12, dip / 1e-10])
     return CheckResult(
         "physicality",
         worst,
         1.0,
-        f"{points} draws; |trace-1|/1e-12 and eigenvalue dip/1e-10",
+        f"{finite.size} draws; |trace-1|/1e-12 and eigenvalue dip/1e-10",
     )
 
 
-def _check_negativity(rng: random.Random, points: int) -> CheckResult:
+def _check_negativity(state) -> CheckResult:
     # the runtime two-block negativity and the one-block closed form, each
     # against the dense partial transpose
-    state = _batch_states(_draw(rng, points))[1]
     moduli = _moduli(state)
     full = _negativity_full(*state)
     two_block = _negativity(*state[:4], *moduli)
@@ -262,7 +267,7 @@ def _check_negativity(rng: random.Random, points: int) -> CheckResult:
         "negativity-dual-route",
         _worst(diff),
         1e-12,
-        f"{points} draws, {np.count_nonzero(~(diff <= 1e-12))} disagreements",
+        f"{diff.size} draws, {np.count_nonzero(~(diff <= 1e-12))} disagreements",
     )
 
 
@@ -276,11 +281,18 @@ def run_all(seed: int = 0, points: int | None = None) -> list:
     # the decade draws have their own generator, so the later checks draw
     # the same points whatever they are
     decades = random.Random(f"decades-{seed}")
+    correlators = _check_correlators(rng, decades, points or 200)
+    # one batch raises the error of its first failing point, as the state
+    # checks one after another would
+    assembly, each = points or 1000, points or 2000
+    p = _state_draw(rng, assembly, each)
+    kernel, state = _batch_states(p)
+    parts = list(zip(*(np.split(v, np.cumsum([assembly, each, each])) for v in state)))
     return [
         _check_dawson(),
-        _check_correlators(rng, decades, points or 200),
-        _check_assembly(rng, points or 1000),
-        _check_spectrum(rng, points or 2000),
-        _check_physicality(rng, points or 2000),
-        _check_negativity(rng, points or 2000),
+        correlators,
+        _check_assembly(p.theta[:assembly], [c[:assembly] for c in kernel], parts[0]),
+        _check_spectrum(parts[1]),
+        _check_physicality(parts[2]),
+        _check_negativity(parts[3]),
     ]

@@ -1,8 +1,9 @@
 """Property tests: every batched oracle kernel equals its public scalar
 view point by point; the runtime views of one point, point_state and
 evaluate_point, equal their rows of a batch; the column drawers equal
-their draws written out point by point, bit for bit, and the public draws
-are their one-row views; and both correlator kernels keep kappa
+their draws written out point by point, bit for bit, the state checks'
+one-pass draw equals their four column draws, and the public draws are
+their one-row views; and both correlator kernels keep kappa
 odd and omega even in the delay.  All compare exactly."""
 
 import random
@@ -41,6 +42,7 @@ from udwpair.verify import (
     _bounds,
     _decade_draw,
     _draw,
+    _state_draw,
     random_decade_params,
 )
 
@@ -166,6 +168,19 @@ def test_column_draws_equal_repeated_point_draws(seed, n, lambda_max, tau_span):
     assert batch_rng.getstate() == point_rng.getstate()
     one = random_model_params(random.Random(seed), lambda_max=lambda_max, tau_span=tau_span)
     assert one == points[0]
+
+
+@_SETTINGS
+@given(st.integers(0, 2**32 - 1), st.integers(1, 20), st.integers(1, 20))
+def test_one_pass_state_draw_equals_four_column_draws(seed, assembly, each):
+    batch_rng, column_rng = random.Random(seed), random.Random(seed)
+    batch = _state_draw(batch_rng, assembly, each)
+    parts = [_draw(column_rng, assembly, tau_span=5.0)]
+    parts += [_draw(column_rng, each) for _ in range(3)]
+    for name, column in vars(batch).items():
+        drawn = np.concatenate([getattr(q, name) for q in parts])
+        assert [v.hex() for v in drawn.tolist()] == [v.hex() for v in column.tolist()]
+    assert batch_rng.getstate() == column_rng.getstate()
 
 
 def _scalar_decade_params(rng):

@@ -322,6 +322,13 @@ def test_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_import_leaves_numpy_polynomial_unloaded():
+    # the oracle builds its Gauss-Kronrod pair on first use
+    proc = _fresh_python("-c", "import sys, udwpair; print('numpy.polynomial' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_verify_runs_without_scipy():
     # the quadrature oracle is numpy only
     proc = _fresh_python(

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from dataclasses import astuple
 
 import mpmath
@@ -21,8 +22,9 @@ from udwpair import (
 from udwpair.field_correlators import (
     _MAX_PANELS,
     _PI2,
-    _ROTATED_NODES,
-    _gauss_legendre,
+    _NODES,
+    _correlators,
+    _gauss_kronrod,
     _kappa,
     _kspace,
     _omega_direct,
@@ -173,6 +175,32 @@ def test_kappa_is_accurate_in_relative_terms_over_decades():
     assert excess.max() <= 1.0, np.array(rows)[normal][np.argmax(excess)]
 
 
+def test_kappa_past_the_float_range_is_zero_without_warning():
+    # the Gaussian's exponent ((|dt| - L) / sigma)^2 overflows; its limit is 0
+    sep, delay = np.array([0.0, 1.0, 1e155]), np.array([1e155, 1e155, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sigma in (0.5, 1.0, 2.0):
+            assert (_kappa(1.0, sep, delay, sigma) == 0.0).all()
+            assert (_kappa(1.0, sep, -delay, sigma) == 0.0).all()
+        # nor does the public route, where omega takes its direct form
+        assert _closed(1.0, 1e155).kappa == 0.0 and _closed(1e155, 1.0).kappa == 0.0
+
+
+def test_omega_series_runs_on_its_rows_alone():
+    # omega's small-L series overflows at huge delays; a row that takes the
+    # direct form never evaluates it, so the batch does not warn, and each
+    # row equals its batch of one bit for bit
+    rows = np.array([[1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0, 1e154, 1e154, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = _correlators(*rows.T)
+        for i in range(2):
+            one = _correlators(*rows[i : i + 1].T)
+            assert [v[i].hex() for v in batch] == [v[0].hex() for v in one]
+    assert np.isfinite(batch).all()
+
+
 def test_coincident_detectors_have_finite_correlators():
     c = _closed(0.0, 2.0)
     assert math.isfinite(c.kappa) and math.isfinite(c.omega)
@@ -225,6 +253,29 @@ def test_decade_draws_match_closed_forms():
     assert 150 < sum(p.delay < 0.0 for p in draws) < 250
     for p in draws[:100]:
         assert max(_scaled_errors(*detector_pair(p))) <= 1e-6, p
+
+
+def test_gauss_kronrod_pair_is_nested_positive_and_exact():
+    x, w = _gauss_kronrod(_NODES)
+    n = _NODES
+    assert x.shape == (2 * n + 1,) and w.shape == (2 * n + 1, 2)
+    # the Gauss column weighs exactly the n Gauss-Legendre nodes, and in
+    # order the added Kronrod nodes interlace them
+    gauss = w[:, 0] != 0.0
+    legendre = 0.5 * (np.polynomial.legendre.leggauss(n)[0] + 1.0)
+    assert np.array_equal(np.sort(x[gauss]), np.sort(legendre))
+    assert gauss[np.argsort(x)].tolist() == [False, True] * n + [False]
+    assert (0.0 < x).all() and (x < 1.0).all()
+    assert (w[gauss, 0] > 0.0).all() and (w[:, 1] > 0.0).all()
+    # monomials centred on [0, 1], whose moments are 1 / (d + 1) at even d
+    # and 0 at odd d: the Gauss column is exact to degree 2n - 1 and fails
+    # at 2n, the Kronrod column is exact to 3n + 1
+    d = np.arange(3 * n + 2)
+    moments = ((2.0 * x[:, None] - 1.0) ** d).T @ w
+    exact = np.where(d % 2 == 0, 1.0 / (d + 1.0), 0.0)
+    error = np.abs(moments - exact[:, None]) / np.finfo(float).eps
+    assert error[: 2 * n, 0].max() <= 4.0 and error[2 * n, 0] > 1e3
+    assert error[:, 1].max() <= 4.0
 
 
 def test_kspace_and_rotated_forms_agree_where_both_run():
@@ -323,15 +374,17 @@ def test_kspace_band_matches_closed_form_integrals():
 
 def test_quadrature_failure_is_reported():
     # on the rotated contour omega's integral is a sum of two sine
-    # transforms over 2L; at L = 1e-12 their n- and 2n-node rules differ
-    # by ~1e-19 each, which the division makes ~1e-6
+    # transforms over 2L; at L = 1e-12 their Gauss and Kronrod sums agree
+    # to rounding, and the estimate, their difference plus one rounding
+    # unit of ~1e-3 each, is ~2e-7 after the division
     a = DetectorParams(1.0, 1.0, 1.0)
     g = PairGeometry(1e-12, 1e3, 1.0)
     with pytest.raises(QuadratureError, match="anticommutator integral: estimated error"):
         oracle_correlators(a, a, g)
-    args = np.array([1e-12 + 1e3, 1e-12 - 1e3])
-    n_rule, twice = (_sine_transform(args, rule) for rule in _gauss_legendre(_ROTATED_NODES))
-    assert np.abs(n_rule - twice).sum() / 2e-12 > 1e-9
+    gauss, kronrod = _sine_transform(np.array([1e-12 + 1e3, 1e-12 - 1e3]))
+    eps = np.finfo(float).eps
+    assert (np.abs(gauss - kronrod) <= eps * np.abs(kronrod)).all()
+    assert (np.abs(gauss - kronrod) + eps * np.abs(kronrod)).sum() / 2e-12 > 1e-9
 
 
 def test_parameter_validation():

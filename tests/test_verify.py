@@ -49,6 +49,13 @@ def _plant_in_array(kernel):
     return lambda *args: _nan_at(kernel(*args))
 
 
+def _states(**draw):
+    # (theta, correlators, state) of 20 draws, through verify's
+    # _batch_states, so that a nan planted there reaches the check
+    p = verify._draw(random.Random(0), 20, **draw)
+    return p.theta, *verify._batch_states(p)
+
+
 # each sampled check run alone on 20 draws, so that a nan planted for one
 # check does not reach the others
 _CHECKS = {
@@ -56,10 +63,10 @@ _CHECKS = {
     "correlators-vs-quadrature": lambda: verify._check_correlators(
         random.Random(0), random.Random(1), 20
     ),
-    "assembly-dual-route": lambda: verify._check_assembly(random.Random(0), 20),
-    "spectrum-dual-route": lambda: verify._check_spectrum(random.Random(0), 20),
-    "physicality": lambda: verify._check_physicality(random.Random(0), 20),
-    "negativity-dual-route": lambda: verify._check_negativity(random.Random(0), 20),
+    "assembly-dual-route": lambda: verify._check_assembly(*_states(tau_span=5.0)),
+    "spectrum-dual-route": lambda: verify._check_spectrum(_states()[2]),
+    "physicality": lambda: verify._check_physicality(_states()[2]),
+    "negativity-dual-route": lambda: verify._check_negativity(_states()[2]),
 }
 
 
