@@ -100,9 +100,10 @@ def _resolve_params(args) -> ModelParams:
 
 
 def cmd_point(params: ModelParams) -> int:
+    # valid params whose correlators or state cannot be built: a runtime failure
     try:
         correlators, state, measures = _point(params)
-    except AssemblyError as exc:
+    except (AssemblyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     payload = {

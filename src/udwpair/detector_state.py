@@ -11,7 +11,8 @@ along two independent routes:
 * assemble_appendix: the expansion of the evolution operator into the 16
   vacuum moments f_(jklm) (signature j,k,l,m in {+1,-1}) with explicit
   per-term gap phases exp(+-i Omega tau0), then the four basis-projector
-  combinations weighted by cos/sin(theta).
+  combinations weighted by cos/sin(theta).  The eight even moments are
+  evaluated in one pass; the odd eight vanish.
 
 The two must agree entrywise to 1e-12, which the test suite enforces over
 random parameter draws.
@@ -259,51 +260,44 @@ def assemble_main(s: InitialState, c: CorrelatorSet) -> XDensityMatrix:
     return XDensityMatrix.from_elements(*(v[0] for v in _assemble(*values)))
 
 
-def _moment_table(f_a, f_b, kappa, omega):
-    def f(j, k, l, m):
-        return _moment(j, k, l, m, f_a, f_b, kappa, omega)
-
-    return {
-        "pppp": f(+1, +1, +1, +1),
-        "mmmm": f(-1, -1, -1, -1),
-        "mmpp": f(-1, -1, +1, +1),
-        "ppmm": f(+1, +1, -1, -1),
-        "mpmp": f(-1, +1, -1, +1),
-        "pmpm": f(+1, -1, +1, -1),
-        "pmmp": f(+1, -1, -1, +1),
-        "mppm": f(-1, +1, +1, -1),
-    }
+# the eight even signatures (j, k, l, m) as columns, in _appendix's
+# unpacking order; the odd ones vanish identically
+_EVEN_SIGNATURES = np.array(
+    [
+        [+1, -1, -1, +1, -1, +1, +1, -1],
+        [+1, -1, -1, +1, +1, -1, -1, +1],
+        [+1, -1, +1, -1, -1, +1, -1, +1],
+        [+1, -1, +1, -1, +1, -1, +1, -1],
+    ]
+)[..., None]
 
 
 def _appendix(theta, f_a, f_b, kappa, omega, phase_a, phase_b):
-    """(rho11, rho22, rho33, rho44, rho14, rho23) from the 16 vacuum
-    moments and explicit gap phases, elementwise over arrays: the kernel
-    behind assemble_appendix.  The populations keep the imaginary dust
-    the moment sums leave, for _real_part to judge."""
+    """(rho11, rho22, rho33, rho44, rho14, rho23) from the vacuum moments
+    and explicit gap phases, elementwise over arrays: the kernel behind
+    assemble_appendix.  The eight even moments come from one _moment call
+    over the signature columns; the odd eight vanish.  The populations
+    keep the imaginary dust the moment sums leave, for _real_part to judge."""
     gamma = phase_a + phase_b
     cc = np.cos(theta) ** 2
     ss = np.sin(theta) ** 2
     cs = np.cos(theta) * np.sin(theta)
     eg = np.exp(1j * gamma)
     eg_c = np.conj(eg)
-    f = _moment_table(f_a, f_b, kappa, omega)
-
-    r11 = cc * f["pppp"] + cs * (f["mmpp"] * eg + f["ppmm"] * eg_c) + ss * f["mmmm"]
-    r22 = cc * f["mpmp"] + cs * (f["pmmp"] * eg + f["mppm"] * eg_c) + ss * f["pmpm"]
-    r33 = cc * f["pmpm"] + cs * (f["mppm"] * eg + f["pmmp"] * eg_c) + ss * f["mpmp"]
-    r44 = cc * f["mmmm"] + cs * (f["ppmm"] * eg + f["mmpp"] * eg_c) + ss * f["pppp"]
-    r14 = (
-        cc * f["mmpp"] * eg_c
-        + cs * f["pppp"]
-        + cs * f["mmmm"] * np.exp(-2j * gamma)
-        + ss * f["ppmm"] * eg_c
+    pppp, mmmm, mmpp, ppmm, mpmp, pmpm, pmmp, mppm = _moment(
+        *_EVEN_SIGNATURES, f_a, f_b, kappa, omega
     )
+    r11 = cc * pppp + cs * (mmpp * eg + ppmm * eg_c) + ss * mmmm
+    r22 = cc * mpmp + cs * (pmmp * eg + mppm * eg_c) + ss * pmpm
+    r33 = cc * pmpm + cs * (mppm * eg + pmmp * eg_c) + ss * mpmp
+    r44 = cc * mmmm + cs * (ppmm * eg + mmpp * eg_c) + ss * pppp
+    r14 = cc * mmpp * eg_c + cs * pppp + cs * mmmm * np.exp(-2j * gamma) + ss * ppmm * eg_c
     e_delta = np.exp(-1j * (phase_a - phase_b))
     r23 = (
-        cc * f["pmmp"] * e_delta
-        + cs * f["mpmp"] * np.exp(2j * phase_b)
-        + cs * f["pmpm"] * np.exp(-2j * phase_a)
-        + ss * f["mppm"] * e_delta
+        cc * pmmp * e_delta
+        + cs * mpmp * np.exp(2j * phase_b)
+        + cs * pmpm * np.exp(-2j * phase_a)
+        + ss * mppm * e_delta
     )
     return r11, r22, r33, r44, r14, r23
 

@@ -283,7 +283,7 @@ def _panels(sep, delay, sigma):
 
 
 def _kspace(sep, delay, sigma):
-    """[I_f, I_kappa, I_omega] and their error estimates, over 1-D arrays:
+    """[I_kappa, I_omega] and their error estimates, over 1-D arrays:
     Gauss-Kronrod panels on [0, 9.1/sigma], every draw's panels laid end
     to end in one array.  A node k = left + offset takes the sin and cos of
     k dt and k L by angle addition, from those of left dt and left L, once
@@ -305,10 +305,10 @@ def _kspace(sep, delay, sigma):
     damped = k * np.exp(-0.5 * (s * k) ** 2)
     sin_kl = sin_ll * cos_ol[owner] + cos_ll * sin_ol[owner]
     radial = damped * np.divide(sin_kl, k * l, out=np.ones_like(k), where=l > 0.0)  # sinc(kL)
-    i_f, cos_sum, sin_sum = (damped @ w, (radial * cos_od[owner]) @ w, (radial * sin_od[owner]) @ w)
+    cos_sum, sin_sum = (radial * cos_od[owner]) @ w, (radial * sin_od[owner]) @ w
     # sin(left dt) and cos(left dt) are the same at every node of a panel
-    integrals = (i_f, sin_ld * cos_sum + cos_ld * sin_sum, cos_ld * cos_sum - sin_ld * sin_sum)
-    # per draw, [Gauss, Kronrod] sums of the three integrals
+    integrals = (sin_ld * cos_sum + cos_ld * sin_sum, cos_ld * cos_sum - sin_ld * sin_sum)
+    # per draw, [Gauss, Kronrod] sums of the two integrals
     gauss, kronrod = np.add.reduceat(width[owner, None, None] * np.stack(integrals, 1), starts).T
     return kronrod, np.abs(gauss - kronrod)
 
@@ -362,14 +362,14 @@ def _oracle(lam_a, eta_a, lam_b, eta_b, sep, delay, sigma):
     )
     far = _panels(sep, delay, sigma) > _MAX_PANELS
     near = ~far
-    # a far draw takes only I_f from k space; it depends on sigma alone, so
-    # it is summed once per width, as an L = dt = 0 row after the near draws
-    widths, which = np.unique(sigma[far], return_inverse=True)
+    # I_f depends on sigma alone and is I_omega at L = dt = 0: every draw
+    # takes it from its width's L = dt = 0 row, after the near draws
+    widths, which = np.unique(sigma, return_inverse=True)
     zero = np.zeros_like(widths)
     rows = [np.concatenate((v[near], t)) for v, t in ((sep, zero), (delay, zero), (sigma, widths))]
-    row = np.cumsum(near) - 1  # each draw's row of the k-space batch
-    row[far] = np.count_nonzero(near) + which
-    values, err = np.array(_kspace(*rows))[..., row]
+    kspace = np.array(_kspace(*rows))  # [values, estimates] of [I_kappa, I_omega], per row
+    row = np.cumsum(near) - 1  # each near draw's row; the far draws' are replaced below
+    values, err = np.concatenate((kspace[:, 1:, near.sum() + which], kspace[..., row]), 1)
     values[1:, far], err[1:, far] = _rotated(sep[far], delay[far], sigma[far])
     i_f, i_kappa, i_omega = values
     bad = ~(err <= _QUAD_ERROR_CEILING)  # a nan estimate fails too
@@ -403,12 +403,12 @@ def oracle_correlators(a: DetectorParams, b: DetectorParams, g: PairGeometry) ->
         kappa = -(C / 2 pi^2) int_0^inf k exp(-sigma^2 k^2/2) sinc(kL) sin(k dt) dk
         omega = -(C / pi^2)   int_0^inf k exp(-sigma^2 k^2/2) sinc(kL) cos(k dt) dk
 
-    with C the coupling product.  Up to (L + |dt|) / sigma = 256 pi / 9.1,
-    about 88.4, they are summed in k by 33-node Gauss-Kronrod panels, each
-    at most two oscillation periods and two envelope widths 2/sigma wide.
-    Past that the panels would be too many: I_f, which depends on sigma
-    alone, is summed once per width in the same k-space batch, and kappa
-    and omega move to the rotated contour of _rotated (numerical steepest
+    with C the coupling product.  I_f, which depends on sigma alone, is the
+    omega integral at L = dt = 0 and is summed once per distinct width.
+    Up to (L + |dt|) / sigma = 256 pi / 9.1, about 88.4, kappa and omega
+    are summed in k by 33-node Gauss-Kronrod panels, each at most two
+    oscillation periods and two envelope widths 2/sigma wide.  Past that
+    they move to the rotated contour of _rotated (numerical steepest
     descent, Huybrechs and Vandewalle, SIAM J. Numer. Anal. 44, 1026,
     2006), whose sine transform does not oscillate; its kappa is the exact
     Gaussian that the closed form also uses.  Neither band shares code with the closed forms (no

@@ -33,7 +33,7 @@ from udwpair import (
     run_sweep,
     spectrum_closed,
 )
-from udwpair.detector_state import _appendix, _dense, _modulus, _moment
+from udwpair.detector_state import _EVEN_SIGNATURES, _appendix, _dense, _modulus, _moment
 from udwpair.field_correlators import _correlators, _oracle
 from udwpair.quantum_measures import _negativity_closed, _negativity_full, _spectrum_closed
 from udwpair.sweep_engine import ModelParams, _batch_states
@@ -101,6 +101,14 @@ def _batch(points):
 def test_moment_and_appendix_kernels_equal_their_scalar_views(points):
     p, correlators, _ = _batch(points)
     moments = {sig: _moment(*sig, *correlators[:4]) for sig in SIGNATURES}
+    # _appendix's one broadcast call over the even signatures equals the
+    # eight single-signature calls
+    even = _moment(*_EVEN_SIGNATURES, *correlators[:4])
+    assert even.shape == (8, len(points))
+    for sig, row in zip(_EVEN_SIGNATURES[..., 0].T.tolist(), even):
+        assert sig.count(-1) % 2 == 0
+        assert row.tobytes() == moments[tuple(sig)].tobytes()
+    assert len({tuple(sig) for sig in _EVEN_SIGNATURES[..., 0].T.tolist()}) == 8
     r11, r22, r33, r44, r14, r23 = _appendix(p.theta, *correlators)
     for i in range(len(points)):
         c = CorrelatorSet(*(v[i].item() for v in correlators))

@@ -307,11 +307,21 @@ def test_point_accepts_a_large_time_origin(capsys):
 
 
 def test_point_with_overflowing_state_exits_1(capsys):
-    # f_a*f_b underflows while cosh(omega) overflows: no NaN payload
-    assert main(["point", "--lambda", "90", "--l", "0.5", "--dtau", "0"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "not finite" in captured.err
+    cases = [
+        # f_a*f_b underflows while cosh(omega) overflows: no NaN payload
+        (["--lambda", "90", "--l", "0.5", "--dtau", "0"], "element rho11 is not finite: nan"),
+        # valid inputs whose correlators cannot be built are runtime
+        # failures too, not usage errors
+        (["--lambda", "1000"], "CorrelatorSet.f_a must lie in (0, 1], got 0.0"),
+        (["--lambda", "1e155"], "CorrelatorSet.kappa must be finite, got -inf"),
+        (["--l", "0", "--dtau", "1e103"], "CorrelatorSet.omega must be finite, got nan"),
+        (["--tau-a0", "1e308", "--omega-a", "4"], "CorrelatorSet.phase_a must be finite, got inf"),
+    ]
+    for flags, message in cases:
+        assert main(["point", *flags]) == 1, flags
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 def test_import_leaves_scipy_unloaded():

@@ -288,7 +288,7 @@ def test_kspace_and_rotated_forms_agree_where_both_run():
     )
     sigma = np.ones_like(sep)
     assert (_panels(sep, delay, sigma) <= _MAX_PANELS).all()
-    (_, *kspace), kspace_err = _kspace(sep, delay, sigma)
+    kspace, kspace_err = _kspace(sep, delay, sigma)
     rotated, rotated_err = _rotated(sep, delay, sigma)
     assert kspace_err.max() <= 1e-12 and rotated_err.max() <= 1e-12
     assert np.abs(np.array(kspace) - rotated).max() <= 1e-12
@@ -304,7 +304,7 @@ def test_band_switch_sits_at_256_pi_over_9_1(sigma):
         span = _SWITCH * sigma * factor
         sep, delay, width = (np.array([v]) for v in (0.25 * span, -0.75 * span, sigma))
         assert (_panels(sep, delay, width) > _MAX_PANELS).item() is far
-        (_, *kspace), _ = _kspace(sep, delay, width)
+        kspace, _ = _kspace(sep, delay, width)
         rotated, _ = _rotated(sep, delay, width)
         assert not np.array_equal(kspace, rotated)
         band = rotated if far else kspace
@@ -322,7 +322,7 @@ def test_band_switch_sits_at_256_pi_over_9_1(sigma):
 
 
 def _exact_kspace(sep, delay, sigma):
-    """sigma^2 [I_f, I_kappa, I_omega] in closed form, at 40 digits: with
+    """sigma^2 [I_kappa, I_omega] in closed form, at 40 digits: with
     l = L / sigma and d = dt / sigma, I_kappa is a difference of Gaussians
     and I_omega a difference of Dawson functions, D(x) = sqrt(pi)/2
     exp(-x^2) erfi(x), each over 2 l; at l = 0 their limits."""
@@ -335,13 +335,13 @@ def _exact_kspace(sep, delay, sigma):
         if l == 0:  # the limits L -> 0 of the quotients below
             x = d / mpmath.sqrt(2)
             kappa = mpmath.sqrt(mpmath.pi / 2) * d * mpmath.exp(-d * d / 2)
-            return [1.0, float(kappa), float(1 - 2 * x * dawson(x))]
+            return [float(kappa), float(1 - 2 * x * dawson(x))]
         kappa = mpmath.sqrt(mpmath.pi / 2) * (
             mpmath.exp(-((d - l) ** 2) / 2) - mpmath.exp(-((d + l) ** 2) / 2)
         )
         rt2 = mpmath.sqrt(2)
         omega = rt2 * (dawson((d + l) / rt2) - dawson((d - l) / rt2))
-        return [1.0, float(kappa / (2 * l)), float(omega / (2 * l))]
+        return [float(kappa / (2 * l)), float(omega / (2 * l))]
 
 
 def test_kspace_band_matches_closed_form_integrals():
@@ -370,6 +370,29 @@ def test_kspace_band_matches_closed_form_integrals():
     exact = np.array([_exact_kspace(*row) for row in rows]).T
     assert np.abs(sigma**2 * values - exact).max() <= 1e-14
     assert (sigma**2 * err).max() <= 1e-14
+    # at L = dt = 0 the omega integral is the decay factor's
+    # I_f = int_0^inf k exp(-sigma^2 k^2 / 2) dk = 1 / sigma^2
+    origin = (sep == 0.0) & (delay == 0.0)
+    assert origin.sum() == 3
+    assert np.abs(values[1][origin] - 1.0 / sigma[origin] ** 2).max() <= 1e-14
+
+
+def test_oracle_takes_the_decay_factor_once_per_width():
+    # two near draws of one width, with different L and dt, and a far
+    # draw: each reads I_f from the width's L = dt = 0 row, so their f agree
+    # bit for bit.  Summed on each near draw's own panels, the first two
+    # differed in the last bits of f_a.  At sigma = 1 that row gives
+    # I_f = 1 exactly, and f equals the closed form's
+    sep, delay, sigma = np.array([0.5, 4.0, 1e4]), np.array([26.0, -1.0, 3.0]), np.ones(3)
+    assert (_panels(sep, delay, sigma) <= _MAX_PANELS).tolist() == [True, True, False]
+    (_, i_f), _ = _kspace(np.zeros(1), np.zeros(1), sigma[:1])
+    assert i_f[0] == 1.0
+    couplings = (3.0, 1.5, 3.0, 0.5)
+    oracle = _oracle(*couplings, sep, delay, sigma)
+    closed = _correlators(*couplings, sep, delay, sigma)
+    for f, ref in zip(oracle[:2], closed[:2]):
+        assert [v.hex() for v in f] == [v.hex() for v in ref]
+        assert len(set(f.tolist())) == 1
 
 
 def test_quadrature_failure_is_reported():
