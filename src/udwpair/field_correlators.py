@@ -31,6 +31,10 @@ draws); the public functions evaluate one detector pair.
 Conventions: the smearing profile F(x) = (sqrt(pi) sigma)^(-3) exp(-x^2/sigma^2)
 transforms to F~(k) = (2 pi)^(-3/2) exp(-sigma^2 k^2 / 4) (symmetric Fourier
 convention), which is what pins f_j = exp(-lambda_j^2 eta_j^2 / (2 pi^2 sigma^2)).
+The four field scalars depend on lambda_j eta_j / sigma, L / sigma and
+dt / sigma alone, so the array kernels take switching weights, lengths and
+times in units of sigma; the public views divide the width out, in one
+place (_view), and take the gap phases from the gaps and times as given.
 """
 
 import functools
@@ -52,15 +56,16 @@ __all__ = [
 
 _PI2 = math.pi * math.pi
 
-# Below this fraction of sigma the closed form of omega divides a vanishing
-# numerator by L; switch to the series expansion of the numerator instead.
+# Below this separation in widths the closed form of omega divides a
+# vanishing numerator by L; switch to the series expansion of the numerator
+# instead.
 _SMALL_L_FRACTION = 1e-4
 
-# Oracle controls.  exp(-(sigma k)^2/2) < 1e-18 past k = 9.1/sigma, so the
+# Oracle controls, in widths.  exp(-k^2/2) < 1e-18 past k = 9.1, so the
 # truncated tail is invisible at the 1e-13 target accuracy.  A draw that
-# needs more than _MAX_PANELS k-space panels, (L + |dt|) / sigma past
-# 256 pi / 9.1 (about 88.4), moves to the rotated contour, whose geometric
-# panels stop where its integrand is below exp(-40).
+# needs more than _MAX_PANELS k-space panels, L + |dt| past 256 pi / 9.1
+# (about 88.4), moves to the rotated contour, whose geometric panels stop
+# where its integrand is below exp(-40).
 _KMAX_OVER_SIGMA = 9.1
 _ENVELOPE_PANELS = math.ceil(_KMAX_OVER_SIGMA / 2.0)
 _MAX_PANELS = 64
@@ -161,54 +166,52 @@ def _phases(gap_a, gap_b, time_origin, delay):
 
 
 def _decay(le):
-    # le = coupling * switching_weight / sigma
+    # le = coupling * switching weight, in widths
     return np.exp(-le * le / (2.0 * _PI2))
 
 
-def _kappa(cprod, sep, delay, sigma):
-    # with l = L / sigma and d = dt / sigma >= 0, exp(-(d + l)^2 / 2) -
-    # exp(-(d - l)^2 / 2) = exp(-(d - l)^2 / 2) expm1(x), x = -2 d l, does
-    # not cancel; over l it is -2 d exp(-(d - l)^2 / 2) expm1(x) / x, and
-    # expm1(x) / x is 1 at x = 0.  kappa is odd in d, and 0 - d is +0 at
-    # zero delay, as the difference of Gaussians is and -d is not.  Where 2 d l
-    # overflows, (0 - d) expm1(x) / x takes its limit -sign(d) / (2 l), and
-    # where the Gaussian's exponent does, the Gaussian is 0
-    d = delay / sigma
-    l = sep / sigma
+def _kappa(cprod, sep, delay):
+    # with l = L and d = dt >= 0, exp(-(d + l)^2 / 2) - exp(-(d - l)^2 / 2)
+    # = exp(-(d - l)^2 / 2) expm1(x), x = -2 d l, does not cancel; over l it
+    # is -2 d exp(-(d - l)^2 / 2) expm1(x) / x, and expm1(x) / x is 1 at
+    # x = 0.  kappa is odd in d, and 0 - d is +0 at zero delay, as the
+    # difference of Gaussians is and -d is not.  Where 2 d l overflows,
+    # (0 - d) expm1(x) / x takes its limit -sign(d) / (2 l), and where the
+    # Gaussian's exponent does, the Gaussian is 0
     with np.errstate(over="ignore"):
-        x = -2.0 * np.abs(d) * l
+        x = -2.0 * np.abs(delay) * sep
         far = np.isinf(x)
-        odd = np.divide(-np.sign(d), 2.0 * l, out=0.0 - d, where=far)
-        gauss = np.exp(-0.5 * ((np.abs(delay) - sep) / sigma) ** 2)
+        odd = np.divide(-np.sign(delay), 2.0 * sep, out=0.0 - delay, where=far)
+        gauss = np.exp(-0.5 * (np.abs(delay) - sep) ** 2)
     ratio = np.divide(np.expm1(x), x, out=np.ones_like(x), where=(x != 0.0) & ~far)
-    pref = cprod / (2.0 * _PI2 * sigma * sigma) * math.sqrt(math.pi / 2.0)
+    pref = cprod / (2.0 * _PI2) * math.sqrt(math.pi / 2.0)
     return pref * odd * ratio * gauss
 
 
-def _omega_direct(cprod, sep, delay, sigma):
-    rt2s = math.sqrt(2.0) * sigma
-    d = _dawson(np.stack(((delay + sep) / rt2s, (delay - sep) / rt2s)))
-    return -cprod / (math.sqrt(2.0) * _PI2 * sep * sigma) * (d[0] - d[1])
+def _omega_direct(cprod, sep, delay):
+    rt2 = math.sqrt(2.0)
+    d = _dawson(np.stack(((delay + sep) / rt2, (delay - sep) / rt2)))
+    return -cprod / (rt2 * _PI2 * sep) * (d[0] - d[1])
 
 
-def _omega_small_l(cprod, sep, delay, sigma):
+def _omega_small_l(cprod, sep, delay):
     # the direct form's Taylor series in L, driven by Dawson derivatives:
     #   D'(x)   = 1 - 2 x D(x)
     #   D'''(x) = (12 x - 8 x^3) D(x) + 4 x^2 - 4
-    u = delay / (math.sqrt(2.0) * sigma)
-    h = sep / (math.sqrt(2.0) * sigma)
+    u = delay / math.sqrt(2.0)
+    h = sep / math.sqrt(2.0)
     d = _dawson(u)
     d1 = 1.0 - 2.0 * u * d
     d3 = (12.0 * u - 8.0 * u**3) * d + 4.0 * u * u - 4.0
-    return -cprod / (_PI2 * sigma * sigma) * (d1 + d3 * h * h / 6.0)
+    return -cprod / _PI2 * (d1 + d3 * h * h / 6.0)
 
 
-def _omega(cprod, sep, delay, sigma):
-    # Below separation = 1e-4 sigma the direct form divides a vanishing
+def _omega(cprod, sep, delay):
+    # Below separation = 1e-4 widths the direct form divides a vanishing
     # numerator by L (0/0 at coincidence); the series limit replaces it
     # there, evaluated on those rows alone.
-    args = np.broadcast_arrays(cprod, sep, delay, sigma)
-    small = args[1] < _SMALL_L_FRACTION * args[3]
+    args = np.broadcast_arrays(cprod, sep, delay)
+    small = args[1] < _SMALL_L_FRACTION
     with np.errstate(divide="ignore", invalid="ignore"):
         out = _omega_direct(*args)
     if small.any():
@@ -216,15 +219,16 @@ def _omega(cprod, sep, delay, sigma):
     return out
 
 
-def _correlators(lam_a, eta_a, lam_b, eta_b, sep, delay, sigma):
-    """(f_a, f_b, kappa, omega) elementwise over arrays: the kernel behind
+def _correlators(lam_a, eta_a, lam_b, eta_b, sep, delay):
+    """(f_a, f_b, kappa, omega) elementwise over arrays, with switching
+    weights, separation and delay in widths: the kernel behind
     closed_form_correlators and the sweeps."""
     cprod = lam_a * lam_b * eta_a * eta_b
     return (
-        _decay(lam_a * eta_a / sigma),
-        _decay(lam_b * eta_b / sigma),
-        _kappa(cprod, sep, delay, sigma),
-        _omega(cprod, sep, delay, sigma),
+        _decay(lam_a * eta_a),
+        _decay(lam_b * eta_b),
+        _kappa(cprod, sep, delay),
+        _omega(cprod, sep, delay),
     )
 
 
@@ -237,9 +241,12 @@ def _batch_of_one(*values):
 
 
 def _view(kernel, a: DetectorParams, b: DetectorParams, g: PairGeometry) -> CorrelatorSet:
-    # one detector pair through a kernel over arrays, as a batch of one
-    detectors = (a.coupling, a.switching_weight, b.coupling, b.switching_weight)
-    values = kernel(*_batch_of_one(*detectors, g.separation, g.delay, g.smearing_width))
+    # one detector pair through a kernel over arrays, as a batch of one.
+    # The kernels work in widths, and this is where the width is divided
+    # out; the phases take the gaps, time origin and delay as given
+    s = g.smearing_width
+    detectors = (a.coupling, a.switching_weight / s, b.coupling, b.switching_weight / s)
+    values = kernel(*_batch_of_one(*detectors, g.separation / s, g.delay / s))
     phases = _phases(a.energy_gap, b.energy_gap, g.time_origin, g.delay)
     return CorrelatorSet(*(v.item() for v in values), *phases)
 
@@ -273,28 +280,29 @@ def _gauss_kronrod(n):
     return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
-def _panels(sep, delay, sigma):
+def _panels(sep, delay):
     # each panel spans at most two periods of the fastest oscillation,
-    # k (L + |dt|) = 4 pi, and at most two envelope widths 2/sigma: there
-    # the 16-node Gauss rule is exact to rounding, and so is its Kronrod
+    # k (L + |dt|) = 4 pi, and at most two envelope widths 2: there the
+    # 16-node Gauss rule is exact to rounding, and so is its Kronrod
     # extension, so their difference is rounding
-    oscillation = np.ceil(_KMAX_OVER_SIGMA * (sep + np.abs(delay)) / (4.0 * np.pi * sigma))
+    oscillation = np.ceil(_KMAX_OVER_SIGMA * (sep + np.abs(delay)) / (4.0 * np.pi))
     return np.maximum(oscillation, _ENVELOPE_PANELS)
 
 
-def _kspace(sep, delay, sigma):
-    """[I_kappa, I_omega] and their error estimates, over 1-D arrays:
-    Gauss-Kronrod panels on [0, 9.1/sigma], every draw's panels laid end
-    to end in one array.  A node k = left + offset takes the sin and cos of
-    k dt and k L by angle addition, from those of left dt and left L, once
-    per panel, and of offset dt and offset L, once per draw and node,
-    gathered to the panels by each product that uses them."""
-    panels = _panels(sep, delay, sigma).astype(int)
+def _kspace(sep, delay):
+    """[I_kappa, I_omega] and their error estimates, over 1-D arrays of L
+    and dt in widths, k in inverse widths: Gauss-Kronrod panels on
+    [0, 9.1], every draw's panels laid end to end in one array.  A node
+    k = left + offset takes the sin and cos of k dt and k L by angle
+    addition, from those of left dt and left L, once per panel, and of
+    offset dt and offset L, once per draw and node, gathered to the panels
+    by each product that uses them."""
+    panels = _panels(sep, delay).astype(int)
     starts = np.cumsum(panels) - panels
     owner = np.repeat(np.arange(sep.size), panels)  # the draw of each panel
-    width = _KMAX_OVER_SIGMA / sigma / panels  # each draw's panel width
+    width = _KMAX_OVER_SIGMA / panels  # each draw's panel width
     left = (np.arange(owner.size) - starts[owner]) * width[owner]
-    s, l = (v[owner, None] for v in (sigma, sep))
+    l = sep[owner, None]
     dt_l = np.stack((delay, sep))  # dt and L, a row each
     left_dt_l = (left * dt_l.take(owner, 1))[..., None]  # left dt and left L, per panel
     (sin_ld, sin_ll), (cos_ld, cos_ll) = np.sin(left_dt_l), np.cos(left_dt_l)
@@ -302,7 +310,7 @@ def _kspace(sep, delay, sigma):
     phase = width[:, None] * x * dt_l[..., None]  # offset dt and offset L, per draw
     (sin_od, sin_ol), (cos_od, cos_ol) = np.sin(phase), np.cos(phase)
     k = left[:, None] + width[owner, None] * x
-    damped = k * np.exp(-0.5 * (s * k) ** 2)
+    damped = k * np.exp(-0.5 * k**2)
     sin_kl = sin_ll * cos_ol[owner] + cos_ll * sin_ol[owner]
     radial = damped * np.divide(sin_kl, k * l, out=np.ones_like(k), where=l > 0.0)  # sinc(kL)
     cos_sum, sin_sum = (radial * cos_od[owner]) @ w, (radial * sin_od[owner]) @ w
@@ -330,20 +338,21 @@ def _sine_transform(a):
     return np.copysign(np.moveaxis(total, -1, 0), a)
 
 
-def _rotated(sep, delay, sigma):
-    """[I_kappa, I_omega] and their error estimates, over 1-D arrays.
+def _rotated(sep, delay):
+    """[I_kappa, I_omega] and their error estimates, over 1-D arrays of L
+    and dt in widths.
 
-    Product to sum, with a = (L +- dt) / sigma, gives 2 L sigma I_kappa as
-    the difference of two cosine transforms of the envelope, each the exact
-    Gaussian sqrt(pi/2) exp(-a^2/2), and 2 L sigma I_omega as the sum of
-    two sine transforms (_sine_transform).
+    Product to sum, with a = L +- dt, gives 2 L I_kappa as the difference
+    of two cosine transforms of the envelope, each the exact Gaussian
+    sqrt(pi/2) exp(-a^2/2), and 2 L I_omega as the sum of two sine
+    transforms (_sine_transform).
     """
     eps = np.finfo(float).eps
     with np.errstate(all="ignore"):  # L = 0 gives estimates that are not finite
-        a = np.stack(((sep + delay) / sigma, (sep - delay) / sigma))
+        a = np.stack((sep + delay, sep - delay))
         gauss = math.sqrt(math.pi / 2.0) * np.exp(-0.5 * a * a)
         sine_g, sine_k = _sine_transform(a)
-        scale = 0.5 / (sep * sigma)
+        scale = 0.5 / sep
         values = np.array([gauss[1] - gauss[0], sine_k[0] + sine_k[1]])
         # each transform's rule difference plus one rounding unit, which the
         # division by L amplifies as L -> 0
@@ -352,25 +361,24 @@ def _rotated(sep, delay, sigma):
         return scale * values, scale * err
 
 
-def _oracle(lam_a, eta_a, lam_b, eta_b, sep, delay, sigma):
-    """(f_a, f_b, kappa, omega) by quadrature over 1-D arrays of draws: the
-    kernel behind oracle_correlators and verify.  Raises QuadratureError,
-    naming the first draw whose estimate passes the ceiling."""
-    lam_a, eta_a, lam_b, eta_b, sep, delay, sigma = (
+def _oracle(lam_a, eta_a, lam_b, eta_b, sep, delay):
+    """(f_a, f_b, kappa, omega) by quadrature over 1-D arrays of draws, with
+    switching weights, separation and delay in widths: the kernel behind
+    oracle_correlators and verify.  I_f is I_omega at L = dt = 0, taken
+    from one such row after the near draws' k-space rows.  Raises
+    QuadratureError, naming the first draw whose estimate passes the
+    ceiling."""
+    lam_a, eta_a, lam_b, eta_b, sep, delay = (
         np.ravel(v).astype(float)
-        for v in np.broadcast_arrays(lam_a, eta_a, lam_b, eta_b, sep, delay, sigma)
+        for v in np.broadcast_arrays(lam_a, eta_a, lam_b, eta_b, sep, delay)
     )
-    far = _panels(sep, delay, sigma) > _MAX_PANELS
+    far = _panels(sep, delay) > _MAX_PANELS
     near = ~far
-    # I_f depends on sigma alone and is I_omega at L = dt = 0: every draw
-    # takes it from its width's L = dt = 0 row, after the near draws
-    widths, which = np.unique(sigma, return_inverse=True)
-    zero = np.zeros_like(widths)
-    rows = [np.concatenate((v[near], t)) for v, t in ((sep, zero), (delay, zero), (sigma, widths))]
+    rows = [np.append(v[near], 0.0) for v in (sep, delay)]
     kspace = np.array(_kspace(*rows))  # [values, estimates] of [I_kappa, I_omega], per row
     row = np.cumsum(near) - 1  # each near draw's row; the far draws' are replaced below
-    values, err = np.concatenate((kspace[:, 1:, near.sum() + which], kspace[..., row]), 1)
-    values[1:, far], err[1:, far] = _rotated(sep[far], delay[far], sigma[far])
+    values, err = np.concatenate((kspace[:, 1:, np.full(sep.size, -1)], kspace[..., row]), 1)
+    values[1:, far], err[1:, far] = _rotated(sep[far], delay[far])
     i_f, i_kappa, i_omega = values
     bad = ~(err <= _QUAD_ERROR_CEILING)  # a nan estimate fails too
     if bad.any():
@@ -378,8 +386,8 @@ def _oracle(lam_a, eta_a, lam_b, eta_b, sep, delay, sigma):
         which = int(np.argmax(bad[:, i]))
         raise QuadratureError(
             f"{_INTEGRALS[which]} integral: estimated error {err[which, i]:.3e} "
-            f"(ceiling {_QUAD_ERROR_CEILING:.0e}) at separation {sep[i].item()!r}, "
-            f"delay {delay[i].item()!r}, width {sigma[i].item()!r}"
+            f"(ceiling {_QUAD_ERROR_CEILING:.0e}) at separation {sep[i].item()!r} "
+            f"and delay {delay[i].item()!r} widths"
         )
     cprod = lam_a * lam_b * eta_a * eta_b
     return (
@@ -403,8 +411,8 @@ def oracle_correlators(a: DetectorParams, b: DetectorParams, g: PairGeometry) ->
         kappa = -(C / 2 pi^2) int_0^inf k exp(-sigma^2 k^2/2) sinc(kL) sin(k dt) dk
         omega = -(C / pi^2)   int_0^inf k exp(-sigma^2 k^2/2) sinc(kL) cos(k dt) dk
 
-    with C the coupling product.  I_f, which depends on sigma alone, is the
-    omega integral at L = dt = 0 and is summed once per distinct width.
+    with C the coupling product.  They are summed in units of sigma, where
+    I_f = 1 is the omega integral at L = dt = 0, summed once per call.
     Up to (L + |dt|) / sigma = 256 pi / 9.1, about 88.4, kappa and omega
     are summed in k by 33-node Gauss-Kronrod panels, each at most two
     oscillation periods and two envelope widths 2/sigma wide.  Past that

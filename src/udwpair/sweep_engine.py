@@ -182,7 +182,7 @@ def detector_pair(p: ModelParams):
     """
     a = DetectorParams(p.lambda_a, p.eta_a, p.gap_a)
     b = DetectorParams(p.lambda_b, p.eta_b, p.gap_b)
-    return a, b, PairGeometry(p.separation, p.delay, 1.0, p.tau_a0)
+    return a, b, PairGeometry(p.separation, p.delay, time_origin=p.tau_a0)
 
 
 def _point(p: ModelParams):
@@ -233,7 +233,7 @@ def _checked_states(p: ModelParams):
     check of the scalar route."""
     with np.errstate(all="ignore"):  # as in _point
         correlators = (
-            *_correlators(p.lambda_a, p.eta_a, p.lambda_b, p.eta_b, p.separation, p.delay, 1.0),
+            *_correlators(p.lambda_a, p.eta_a, p.lambda_b, p.eta_b, p.separation, p.delay),
             *_phases(p.gap_a, p.gap_b, p.tau_a0, p.delay),
         )
         elements = _assemble(p.theta, *correlators)

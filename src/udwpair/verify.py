@@ -198,7 +198,7 @@ def _check_correlators(rng: random.Random, decades: random.Random, points: int) 
     # error scale: relative above 1e-3, absolute (1e-9 at the tolerance)
     # below, folded into one ratio against max(|oracle|, 1e-3)
     p = _joined(_draw(rng, points, lambda_max=5.0), _decade_draw(decades, points))
-    args = (p.lambda_a, p.eta_a, p.lambda_b, p.eta_b, p.separation, p.delay, 1.0)
+    args = (p.lambda_a, p.eta_a, p.lambda_b, p.eta_b, p.separation, p.delay)
     worst = _worst(
         [
             np.abs(closed - ref) / np.maximum(np.abs(ref), 1e-3)

@@ -71,10 +71,10 @@ SIGNATURES = [(j, k, l, m) for j in (1, -1) for k in (1, -1) for l in (1, -1) fo
 # within +-5), knob by knob in ModelParams field order
 _POINT = st.tuples(*(st.floats(lo, hi) for lo, hi in _bounds(8.0, 5.0)))
 
-# one draw of the random_decade_params domain as correlator kernel
-# arguments (lambda_a, eta_a, lambda_b, eta_b, L, dt, sigma), at one of
-# several widths: L and |dt| log-uniform over [1e-3, 1e8], so that a batch
-# mixes the oracle's k-space and rotated-contour bands
+# one draw of the decade draws' domain as (lambda_a, eta_a, lambda_b,
+# eta_b, L, dt, sigma), at one of several widths: L and |dt| log-uniform
+# over [1e-3, 1e8] widths, so that a batch mixes the oracle's k-space and
+# rotated-contour bands
 _KNOB = dict(zip(vars(ModelParams()), _bounds(5.0, 0.0)))
 _DECADE = st.tuples(
     *(st.floats(*_KNOB[knob]) for knob in ("lambda_a", "eta_a", "lambda_b", "eta_b")),
@@ -88,6 +88,13 @@ _DECADE = st.tuples(
 _MIXED = [
     (1.0, 1.0, 2.0, 0.5, l, dt, s) for s in (1.0, 2.0) for l, dt in ((3.0, -4.0), (1e4, 2.0))
 ]
+
+
+def _in_widths(draws):
+    # kernel arguments of the draws: switching weights, L and dt divided by
+    # the width, which is exact for the powers of two that _DECADE draws
+    lam_a, eta_a, lam_b, eta_b, sep, delay, sigma = map(np.array, zip(*draws))
+    return lam_a, eta_a / sigma, lam_b, eta_b / sigma, sep / sigma, delay / sigma
 
 
 def _batch(points):
@@ -218,8 +225,8 @@ def test_decade_column_draws_equal_scalar_decade_draws(seed, n):
 @given(st.lists(_DECADE, min_size=1, max_size=12))
 @example(_MIXED)
 def test_oracle_kernel_equals_its_scalar_view(draws):
-    # guards the far draws' I_f, evaluated once per width and scattered
-    batch = _oracle(*map(np.array, zip(*draws)))
+    # guards I_f, summed once per batch and taken by every draw
+    batch = _oracle(*_in_widths(draws))
     for i, (lam_a, eta_a, lam_b, eta_b, sep, delay, sigma) in enumerate(draws):
         a, b = DetectorParams(lam_a, eta_a), DetectorParams(lam_b, eta_b)
         one = oracle_correlators(a, b, PairGeometry(sep, delay, sigma))
@@ -230,10 +237,10 @@ def test_oracle_kernel_equals_its_scalar_view(draws):
 @given(st.lists(_DECADE, min_size=1, max_size=12))
 @example(_MIXED)
 def test_kappa_is_odd_and_omega_even_in_the_delay(draws):
-    *detectors, sep, delay, sigma = map(np.array, zip(*draws))
+    *detectors, sep, delay = _in_widths(draws)
     for kernel in (_correlators, _oracle):
-        f_a, f_b, kappa, omega = kernel(*detectors, sep, delay, sigma)
-        flipped = kernel(*detectors, sep, -delay, sigma)
+        f_a, f_b, kappa, omega = kernel(*detectors, sep, delay)
+        flipped = kernel(*detectors, sep, -delay)
         assert np.array_equal(flipped[0], f_a) and np.array_equal(flipped[1], f_b)
         assert np.array_equal(flipped[2], -kappa)
         assert np.array_equal(flipped[3], omega)

@@ -133,15 +133,32 @@ def test_large_time_origin_matches_point_state():
         assert abs(value - ref) <= 1e-6 * max(abs(ref), 1e-3)
 
 
+def _omega_reference(sep, delay, sigma):
+    """sigma^2 omega at unit coupling product, of the exact input doubles at
+    40 digits: the difference of Dawson functions over L."""
+    with mpmath.workdps(40):
+        l, d = mpmath.mpf(sep) / sigma, mpmath.mpf(delay) / sigma
+
+        def dawson(x):
+            return mpmath.sqrt(mpmath.pi) / 2 * mpmath.exp(-x * x) * mpmath.erfi(x)
+
+        rt2 = mpmath.sqrt(2)
+        return float(-(dawson((d + l) / rt2) - dawson((d - l) / rt2)) / (rt2 * mpmath.pi**2 * l))
+
+
 def test_short_distance_branch_continuity():
     # omega's small-separation series must meet its direct formula at the
-    # dispatch boundary
+    # dispatch boundary, 1e-4 widths; at sigma = 0.7 the kernels take L and
+    # dt divided by the width, and both forms must also meet the reference
+    # at the undivided doubles
     for sigma in (1.0, 0.7):
         l = 1e-4 * sigma
         for dtau in (0.5, 1.0, 3.0, 5.0, 8.0):
-            wd = _omega_direct(1.0, l, dtau, sigma)
-            ws = _omega_small_l(1.0, l, dtau, sigma)
+            wd = _omega_direct(1.0, l / sigma, dtau / sigma)
+            ws = _omega_small_l(1.0, l / sigma, dtau / sigma)
             assert abs(wd - ws) <= 1e-10 * max(abs(wd), 1e-300)
+            ref = _omega_reference(l, dtau, sigma)
+            assert max(abs(wd - ref), abs(ws - ref)) <= 1e-10 * abs(ref)
 
 
 def _kappa_reference(sep, delay, sigma):
@@ -169,7 +186,8 @@ def test_kappa_is_accurate_in_relative_terms_over_decades():
     normal = np.abs(ref) >= np.finfo(float).tiny
     assert normal.sum() > 4000
     sep, delay, sigma = np.array(rows)[normal].T
-    kappa = _kappa(1.0, sep, delay, sigma)
+    # in widths, by exact powers of two
+    kappa = _kappa(1.0 / sigma**2, sep / sigma, delay / sigma)
     allowance = 4.0 * np.finfo(float).eps * (1.0 + (np.abs(delay) - sep) ** 2 / (2.0 * sigma**2))
     excess = np.abs(kappa - ref[normal]) / (np.abs(ref[normal]) * allowance)
     assert excess.max() <= 1.0, np.array(rows)[normal][np.argmax(excess)]
@@ -180,9 +198,9 @@ def test_kappa_past_the_float_range_is_zero_without_warning():
     sep, delay = np.array([0.0, 1.0, 1e155]), np.array([1e155, 1e155, 1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for sigma in (0.5, 1.0, 2.0):
-            assert (_kappa(1.0, sep, delay, sigma) == 0.0).all()
-            assert (_kappa(1.0, sep, -delay, sigma) == 0.0).all()
+        for sigma in (0.5, 1.0, 2.0):  # in widths, by exact powers of two
+            assert (_kappa(1.0, sep / sigma, delay / sigma) == 0.0).all()
+            assert (_kappa(1.0, sep / sigma, -delay / sigma) == 0.0).all()
         # nor does the public route, where omega takes its direct form
         assert _closed(1.0, 1e155).kappa == 0.0 and _closed(1e155, 1.0).kappa == 0.0
 
@@ -191,7 +209,7 @@ def test_omega_series_runs_on_its_rows_alone():
     # omega's small-L series overflows at huge delays; a row that takes the
     # direct form never evaluates it, so the batch does not warn, and each
     # row equals its batch of one bit for bit
-    rows = np.array([[1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0, 1e154, 1e154, 1.0]])
+    rows = np.array([[1.0, 1.0, 1.0, 1.0, 0.0, 1.0], [1.0, 1.0, 1.0, 1.0, 1e154, 1e154]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         batch = _correlators(*rows.T)
@@ -286,10 +304,9 @@ def test_kspace_and_rotated_forms_agree_where_both_run():
         np.array([rng.uniform(lo, hi) for _ in range(500)])
         for lo, hi in ((0.05, 44.0), (-44.0, 44.0))
     )
-    sigma = np.ones_like(sep)
-    assert (_panels(sep, delay, sigma) <= _MAX_PANELS).all()
-    kspace, kspace_err = _kspace(sep, delay, sigma)
-    rotated, rotated_err = _rotated(sep, delay, sigma)
+    assert (_panels(sep, delay) <= _MAX_PANELS).all()
+    kspace, kspace_err = _kspace(sep, delay)
+    rotated, rotated_err = _rotated(sep, delay)
     assert kspace_err.max() <= 1e-12 and rotated_err.max() <= 1e-12
     assert np.abs(np.array(kspace) - rotated).max() <= 1e-12
 
@@ -300,18 +317,22 @@ _SWITCH = 256.0 * math.pi / 9.1
 
 @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
 def test_band_switch_sits_at_256_pi_over_9_1(sigma):
+    # the kernels run in widths, here reached by exact powers of two, and
+    # the public view at this width takes the band they take
+    unit = DetectorParams(1.0, sigma, 1.0)  # a switching weight of one width
     for factor, far in ((1.0 - 1e-12, False), (1.0 + 1e-12, True)):
         span = _SWITCH * sigma * factor
-        sep, delay, width = (np.array([v]) for v in (0.25 * span, -0.75 * span, sigma))
-        assert (_panels(sep, delay, width) > _MAX_PANELS).item() is far
-        kspace, _ = _kspace(sep, delay, width)
-        rotated, _ = _rotated(sep, delay, width)
+        g = PairGeometry(0.25 * span, -0.75 * span, sigma)
+        sep, delay = (np.array([v / sigma]) for v in (g.separation, g.delay))
+        assert (_panels(sep, delay) > _MAX_PANELS).item() is far
+        kspace, _ = _kspace(sep, delay)
+        rotated, _ = _rotated(sep, delay)
         assert not np.array_equal(kspace, rotated)
         band = rotated if far else kspace
         # unit couplings: kappa = -I_kappa / (2 pi^2) and omega = -I_omega / pi^2
-        _, _, kappa, omega = _oracle(1.0, 1.0, 1.0, 1.0, sep, delay, width)
-        assert kappa[0] == -1.0 / (2.0 * _PI2) * band[0][0]
-        assert omega[0] == -1.0 / _PI2 * band[1][0]
+        c = oracle_correlators(unit, unit, g)
+        assert c.kappa == -1.0 / (2.0 * _PI2) * band[0][0]
+        assert c.omega == -1.0 / _PI2 * band[1][0]
     # coincident detectors: k space just inside the switch, and past it the
     # rotated form, which divides by L, cannot certify its result
     a = DetectorParams(1.0, 1.0, 1.0)
@@ -322,7 +343,8 @@ def test_band_switch_sits_at_256_pi_over_9_1(sigma):
 
 
 def _exact_kspace(sep, delay, sigma):
-    """sigma^2 [I_kappa, I_omega] in closed form, at 40 digits: with
+    """sigma^2 [I_kappa, I_omega], the integrals in widths, in closed form
+    at 40 digits of the exact input doubles: with
     l = L / sigma and d = dt / sigma, I_kappa is a difference of Gaussians
     and I_omega a difference of Dawson functions, D(x) = sqrt(pi)/2
     exp(-x^2) erfi(x), each over 2 l; at l = 0 their limits."""
@@ -364,32 +386,34 @@ def test_kspace_band_matches_closed_form_integrals():
         rows += [(span, 0.0, sigma), (0.25 * span, -0.75 * span, sigma)]
         rows += [(0.6 * span, 0.4 * span, sigma)]
     sep, delay, sigma = map(np.array, zip(*rows))
-    assert (_panels(sep, delay, sigma) <= _MAX_PANELS).all()
-    assert sep.min() < 2e-3 and ((sep + np.abs(delay)) / sigma).max() > 80.0
-    values, err = _kspace(sep, delay, sigma)
+    # L and dt in widths; the rows at sigma = 0.3 round in the division
+    sep, delay = sep / sigma, delay / sigma
+    assert (_panels(sep, delay) <= _MAX_PANELS).all()
+    assert sep.min() < 2e-3 and (sep + np.abs(delay)).max() > 80.0
+    values, err = _kspace(sep, delay)
     exact = np.array([_exact_kspace(*row) for row in rows]).T
-    assert np.abs(sigma**2 * values - exact).max() <= 1e-14
-    assert (sigma**2 * err).max() <= 1e-14
+    assert np.abs(values - exact).max() <= 1e-14
+    assert err.max() <= 1e-14
     # at L = dt = 0 the omega integral is the decay factor's
-    # I_f = int_0^inf k exp(-sigma^2 k^2 / 2) dk = 1 / sigma^2
+    # I_f = int_0^inf k exp(-k^2 / 2) dk = 1, in widths
     origin = (sep == 0.0) & (delay == 0.0)
     assert origin.sum() == 3
-    assert np.abs(values[1][origin] - 1.0 / sigma[origin] ** 2).max() <= 1e-14
+    assert np.abs(values[1][origin] - 1.0).max() <= 1e-14
 
 
 def test_oracle_takes_the_decay_factor_once_per_width():
-    # two near draws of one width, with different L and dt, and a far
-    # draw: each reads I_f from the width's L = dt = 0 row, so their f agree
-    # bit for bit.  Summed on each near draw's own panels, the first two
-    # differed in the last bits of f_a.  At sigma = 1 that row gives
-    # I_f = 1 exactly, and f equals the closed form's
-    sep, delay, sigma = np.array([0.5, 4.0, 1e4]), np.array([26.0, -1.0, 3.0]), np.ones(3)
-    assert (_panels(sep, delay, sigma) <= _MAX_PANELS).tolist() == [True, True, False]
-    (_, i_f), _ = _kspace(np.zeros(1), np.zeros(1), sigma[:1])
+    # two near draws, with different L and dt, and a far draw: each reads
+    # I_f from the batch's one L = dt = 0 row, so their f agree bit for
+    # bit.  Summed on each near draw's own panels, the first two differed
+    # in the last bits of f_a.  In widths that row gives I_f = 1 exactly,
+    # and f equals the closed form's
+    sep, delay = np.array([0.5, 4.0, 1e4]), np.array([26.0, -1.0, 3.0])
+    assert (_panels(sep, delay) <= _MAX_PANELS).tolist() == [True, True, False]
+    (_, i_f), _ = _kspace(np.zeros(1), np.zeros(1))
     assert i_f[0] == 1.0
-    couplings = (3.0, 1.5, 3.0, 0.5)
-    oracle = _oracle(*couplings, sep, delay, sigma)
-    closed = _correlators(*couplings, sep, delay, sigma)
+    couplings = [np.full(3, v) for v in (3.0, 1.5, 3.0, 0.5)]
+    oracle = _oracle(*couplings, sep, delay)
+    closed = _correlators(*couplings, sep, delay)
     for f, ref in zip(oracle[:2], closed[:2]):
         assert [v.hex() for v in f] == [v.hex() for v in ref]
         assert len(set(f.tolist())) == 1
