@@ -223,12 +223,17 @@ def f_jklm(sig: FSignature, c: CorrelatorSet) -> complex:
     return complex(_moment(sig.j, sig.k, sig.l, sig.m, *values)[0])
 
 
+def _cos(theta):
+    # exactly 0 at theta = pi/2, where np.cos gives 6.1e-17: |ee>, as 0 is |gg>
+    return np.where(theta == math.pi / 2.0, 0.0, np.cos(theta))
+
+
 def _assemble(theta, fa, fb, kappa, omega, phase_a, phase_b):
     """(rho11, rho22, rho33, rho44, rho14, rho23) from the compact
     per-element closed forms, elementwise over arrays."""
     gamma = phase_a + phase_b
     c2 = np.cos(2.0 * theta)
-    cs = np.cos(theta) * np.sin(theta)
+    cs = _cos(theta) * np.sin(theta)
     sym = fa * fb * np.cosh(omega)        # even combination, feeds all populations
     sh = np.sinh(omega)
     c2k = np.cos(2.0 * kappa)
@@ -279,9 +284,9 @@ def _appendix(theta, f_a, f_b, kappa, omega, phase_a, phase_b):
     over the signature columns; the odd eight vanish.  The populations
     keep the imaginary dust the moment sums leave, for _real_part to judge."""
     gamma = phase_a + phase_b
-    cc = np.cos(theta) ** 2
+    cc = _cos(theta) ** 2
     ss = np.sin(theta) ** 2
-    cs = np.cos(theta) * np.sin(theta)
+    cs = _cos(theta) * np.sin(theta)
     eg = np.exp(1j * gamma)
     eg_c = np.conj(eg)
     pppp, mmmm, mmpp, ppmm, mpmp, pmpm, pmmp, mppm = _moment(

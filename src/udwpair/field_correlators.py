@@ -31,10 +31,8 @@ draws); the public functions evaluate one detector pair.
 Conventions: the smearing profile F(x) = (sqrt(pi) sigma)^(-3) exp(-x^2/sigma^2)
 transforms to F~(k) = (2 pi)^(-3/2) exp(-sigma^2 k^2 / 4) (symmetric Fourier
 convention), which is what pins f_j = exp(-lambda_j^2 eta_j^2 / (2 pi^2 sigma^2)).
-The four field scalars depend on lambda_j eta_j / sigma, L / sigma and
-dt / sigma alone, so the array kernels take switching weights, lengths and
-times in units of sigma; the public views divide the width out, in one
-place (_view), and take the gap phases from the gaps and times as given.
+The field scalars depend on eta_j / sigma, L / sigma and dt / sigma alone:
+the array kernels take those in widths, and _view divides sigma out.
 """
 
 import functools
@@ -57,8 +55,7 @@ __all__ = [
 _PI2 = math.pi * math.pi
 
 # Below this separation in widths the closed form of omega divides a
-# vanishing numerator by L; switch to the series expansion of the numerator
-# instead.
+# vanishing numerator by L; switch to the numerator's series instead.
 _SMALL_L_FRACTION = 1e-4
 
 # Oracle controls, in widths.  exp(-k^2/2) < 1e-18 past k = 9.1, so the
@@ -220,9 +217,8 @@ def _omega(cprod, sep, delay):
 
 
 def _correlators(lam_a, eta_a, lam_b, eta_b, sep, delay):
-    """(f_a, f_b, kappa, omega) elementwise over arrays, with switching
-    weights, separation and delay in widths: the kernel behind
-    closed_form_correlators and the sweeps."""
+    """(f_a, f_b, kappa, omega) elementwise over arrays in widths: the
+    kernel behind closed_form_correlators and the sweeps."""
     cprod = lam_a * lam_b * eta_a * eta_b
     return (
         _decay(lam_a * eta_a),
@@ -241,9 +237,8 @@ def _batch_of_one(*values):
 
 
 def _view(kernel, a: DetectorParams, b: DetectorParams, g: PairGeometry) -> CorrelatorSet:
-    # one detector pair through a kernel over arrays, as a batch of one.
-    # The kernels work in widths, and this is where the width is divided
-    # out; the phases take the gaps, time origin and delay as given
+    # one detector pair through a kernel over arrays, as a batch of one, in
+    # widths; the phases take the gaps, time origin and delay as given
     s = g.smearing_width
     detectors = (a.coupling, a.switching_weight / s, b.coupling, b.switching_weight / s)
     values = kernel(*_batch_of_one(*detectors, g.separation / s, g.delay / s))
@@ -339,8 +334,7 @@ def _sine_transform(a):
 
 
 def _rotated(sep, delay):
-    """[I_kappa, I_omega] and their error estimates, over 1-D arrays of L
-    and dt in widths.
+    """[I_kappa, I_omega] and their error estimates, over 1-D arrays in widths.
 
     Product to sum, with a = L +- dt, gives 2 L I_kappa as the difference
     of two cosine transforms of the envelope, each the exact Gaussian
@@ -362,10 +356,8 @@ def _rotated(sep, delay):
 
 
 def _oracle(lam_a, eta_a, lam_b, eta_b, sep, delay):
-    """(f_a, f_b, kappa, omega) by quadrature over 1-D arrays of draws, with
-    switching weights, separation and delay in widths: the kernel behind
-    oracle_correlators and verify.  I_f is I_omega at L = dt = 0, taken
-    from one such row after the near draws' k-space rows.  Raises
+    """(f_a, f_b, kappa, omega) by quadrature over 1-D arrays of draws in
+    widths: the kernel behind oracle_correlators and verify.  Raises
     QuadratureError, naming the first draw whose estimate passes the
     ceiling."""
     lam_a, eta_a, lam_b, eta_b, sep, delay = (
@@ -374,6 +366,7 @@ def _oracle(lam_a, eta_a, lam_b, eta_b, sep, delay):
     )
     far = _panels(sep, delay) > _MAX_PANELS
     near = ~far
+    # I_f is I_omega at L = dt = 0: one row after the near draws', for all
     rows = [np.append(v[near], 0.0) for v in (sep, delay)]
     kspace = np.array(_kspace(*rows))  # [values, estimates] of [I_kappa, I_omega], per row
     row = np.cumsum(near) - 1  # each near draw's row; the far draws' are replaced below

@@ -9,7 +9,7 @@ significant digits, well past double precision.
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,10 +79,11 @@ def _bounds(lambda_max, tau_span):
     return bounds + [(-tau_span, tau_span)] if tau_span else bounds
 
 
-def _uniform(bounds, r):
-    # one row per bound from r's rows of rng.random() values, one per draw:
-    # lo + (hi - lo) * r is what rng.uniform(lo, hi) computes
+def _columns(rng: random.Random, n: int, bounds):
+    """n draws of rng.uniform over each bound, draw after draw, as one row
+    per bound: lo + (hi - lo) * rng.random() is what rng.uniform computes."""
     lo, hi = np.array(bounds).T
+    r = np.fromiter(iter(rng.random, None), float, n * len(bounds)).reshape(n, len(bounds))
     return lo[:, None] + (hi - lo)[:, None] * r.T
 
 
@@ -96,9 +97,8 @@ def _draw(
     """n random parameter points as one batch, every knob a column, each
     drawn by rng.uniform over its bound in ModelParams field order, point
     after point."""
-    bounds = _bounds(lambda_max, tau_span)
-    r = np.fromiter(iter(rng.random, None), float, n * len(bounds)).reshape(n, len(bounds))
-    return ModelParams(*_uniform(bounds, r), *([] if tau_span else [np.zeros(n)]))
+    knobs = _columns(rng, n, _bounds(lambda_max, tau_span))
+    return ModelParams(*knobs, *([] if tau_span else [np.zeros(n)]))
 
 
 def _joined(*batches) -> ModelParams:
@@ -132,23 +132,15 @@ _DECADE_EXPONENTS = (-3.0, 8.0)  # log10 of the narrowest and widest L and |dt|
 
 
 def _decade_draw(rng: random.Random, n: int) -> ModelParams:
-    """n random_decade_params points as one batch, every knob a column.
-    Per draw the rng calls run in this order: rng.uniform for log10 L,
-    log10 |dt| and random_model_params' knobs, then rng.choice for dt's
-    sign.  10 ** x is Python's pow; numpy's is an ulp off for 1 x in 20."""
-    bounds = [_DECADE_EXPONENTS] * 2 + _bounds(5.0, 0.0)
-    r = np.array([[*(rng.random() for _ in bounds), rng.choice((-1.0, 1.0))] for _ in range(n)])
-    exponents, knobs = np.split(_uniform(bounds, r[:, :-1]), [2])
-    separation, delay = (np.array([10.0**x for x in v]) for v in exponents.tolist())
-    return replace(ModelParams(*knobs, np.zeros(n)), separation=separation, delay=r[:, -1] * delay)
-
-
-def random_decade_params(rng: random.Random) -> ModelParams:
-    """One random parameter point whose separation and |delay| are each
-    log-uniform over [1e-3, 1e8] widths, the delay with a random sign;
-    the other knobs are drawn as random_model_params(lambda_max=5) draws
-    them: the one row of _decade_draw(rng, 1)."""
-    return _row(_decade_draw(rng, 1), 0)
+    """n random points as one batch, every knob a column: L and |dt| each
+    log-uniform over [1e-3, 1e8] widths, dt's sign that of a uniform draw
+    on [-1, 1], the other knobs as _draw(lambda_max=5) draws them.  Per
+    draw the rng.uniform calls run in order: log10 L, log10 |dt|, sign, knobs."""
+    bounds = [_DECADE_EXPONENTS] * 2 + [(-1.0, 1.0)] + _bounds(5.0, 0.0)
+    exponents, sign, knobs = np.split(_columns(rng, n, bounds), [2, 3])
+    knobs[-2:] = 10.0**exponents  # separation and |delay|
+    knobs[-1] = np.copysign(knobs[-1], sign[0])
+    return ModelParams(*knobs, np.zeros(n))
 
 
 def _worst(errors) -> float:

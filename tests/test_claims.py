@@ -44,23 +44,17 @@ def sweeps():
 
 
 def test_separable_starts_never_gain_negativity(sweeps):
-    negativity, _ = sweeps[0.0]
-    assert (negativity == 0.0).all()
-    # cos(pi/2) rounds to 6.1e-17, so the start cos|gg> + sin|ee> carries
-    # negativity |cos sin| of that size; the sweeps may not rise past it
-    # by more than rounding, four units in its last place
-    start = abs(math.cos(math.pi / 2.0) * math.sin(math.pi / 2.0))
-    negativity, _ = sweeps[math.pi / 2.0]
-    assert negativity.max() <= start + 4.0 * math.ulp(start)
+    # theta = pi/2 is |ee> exactly, as theta = 0 is |gg>
+    for theta in _SEPARABLE:
+        negativity, _ = sweeps[theta]
+        assert (negativity == 0.0).all(), theta
 
 
 def test_separable_starts_gain_coherence_at_every_coupling(sweeps):
-    # the exact separable start has C_l1 = 0; at theta = pi/2 the rounded
-    # start carries 1.2e-16, and small couplings may fall below that dust
-    # while staying above 0
-    assert (sweeps[0.0][1][:, 0] == 0.0).all()
+    # both separable starts have C_l1 = 0 exactly, and any coupling raises it
     for theta in _SEPARABLE:
         _, c_l1 = sweeps[theta]
+        assert (c_l1[:, 0] == 0.0).all(), theta
         assert (c_l1[:, 1:] > 0.0).all(), theta
 
 

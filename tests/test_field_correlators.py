@@ -34,7 +34,8 @@ from udwpair.field_correlators import (
     _rotated,
     _sine_transform,
 )
-from udwpair.verify import random_decade_params
+from udwpair.sweep_engine import _row
+from udwpair.verify import _decade_draw
 
 A_UNIT = DetectorParams(1.0, 1.0, 1.0)
 
@@ -262,7 +263,8 @@ def test_oracle_spans_decades():
 
 def test_decade_draws_match_closed_forms():
     rng = random.Random(11)
-    draws = [random_decade_params(rng) for _ in range(400)]
+    batch = _decade_draw(rng, 400)
+    draws = [_row(batch, i) for i in range(400)]
     for values in ([p.separation for p in draws], [abs(p.delay) for p in draws]):
         assert 1e-3 <= min(values) < 1e-2 and 1e7 < max(values) <= 1e8
         # log-uniform: about a third of the draws in each third of the decades
