@@ -8,6 +8,7 @@ odd and omega even in the delay.  All compare exactly."""
 
 import math
 import random
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from udwpair import (
+    AssemblyError,
     CorrelatorSet,
     DetectorParams,
     FSignature,
@@ -23,6 +25,9 @@ from udwpair import (
     SweepSpec,
     XDensityMatrix,
     assemble_appendix,
+    assemble_main,
+    closed_form_correlators,
+    detector_pair,
     evaluate_point,
     f_jklm,
     negativity_closed,
@@ -35,8 +40,13 @@ from udwpair import (
 )
 from udwpair.detector_state import _EVEN_SIGNATURES, _appendix, _dense, _modulus, _moment
 from udwpair.field_correlators import _correlators, _oracle
-from udwpair.quantum_measures import _negativity_closed, _negativity_full, _spectrum_closed
-from udwpair.sweep_engine import ModelParams, _batch_states
+from udwpair.quantum_measures import (
+    _measures,
+    _negativity_closed,
+    _negativity_full,
+    _spectrum_closed,
+)
+from udwpair.sweep_engine import ModelParams, _batch_states, _checked_states, _point, _row
 from udwpair.verify import (
     _DECADE_EXPONENTS,
     _bounds,
@@ -247,3 +257,62 @@ def test_kappa_is_odd_and_omega_even_in_the_delay(draws):
         assert np.array_equal(flipped[0], f_a) and np.array_equal(flipped[1], f_b)
         assert np.array_equal(flipped[2], -kappa)
         assert np.array_equal(flipped[3], omega)
+
+
+def _bits(obj):
+    # every field of a dataclass instance, compared bit for bit
+    return np.array(astuple(obj), dtype=complex).tobytes()
+
+
+@_SETTINGS
+@given(_POINT, st.sampled_from([0.5, 2.0]))
+def test_public_views_are_covariant_under_a_change_of_width(point, s):
+    # lengths, times, switching weights and the width times s, the gaps
+    # over s: the views divide the width out, so their kernels see the same
+    # numbers, and every phase is the same product; s is a power of two,
+    # so each rescaling is exact
+    p = ModelParams(*point)
+    a, b, g = detector_pair(p)
+    scaled = (
+        DetectorParams(a.coupling, a.switching_weight * s, a.energy_gap / s),
+        DetectorParams(b.coupling, b.switching_weight * s, b.energy_gap / s),
+        PairGeometry(g.separation * s, g.delay * s, g.smearing_width * s, g.time_origin * s),
+    )
+    start = InitialState(p.theta)
+    for view in (closed_form_correlators, oracle_correlators):
+        c, c_scaled = view(a, b, g), view(*scaled)
+        assert _bits(c_scaled) == _bits(c)
+        assert _bits(assemble_main(start, c_scaled)) == _bits(assemble_main(start, c))
+
+
+# a point of _POINT's domain with up to three knobs replaced by values from
+# the whole finite float range: zero, negatives, subnormals and +-1e308
+_WILD = st.floats(allow_nan=False, allow_infinity=False)
+_WILD_POINT = st.tuples(
+    _POINT, st.lists(st.tuples(st.integers(0, len(vars(ModelParams())) - 1), _WILD), max_size=3)
+).map(lambda t: [dict(t[1]).get(i, v) for i, v in enumerate(t[0])])
+# the default point with one knob at an edge of the float range, each knob
+# and edge in turn
+_EDGES = [
+    astuple(replace(ModelParams(), **{knob: edge}))
+    for knob in vars(ModelParams())
+    for edge in (0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308)
+]
+
+
+@settings(_SETTINGS, max_examples=100)
+@given(st.lists(_WILD_POINT, min_size=1, max_size=20))
+@example(_EDGES)
+def test_batch_mask_equals_the_single_point_route(points):
+    # run_sweep's mask: _checked_states' ok and-ed with _measures' ok
+    p = ModelParams(*(np.array(column) for column in zip(*points)))
+    ok, _, state = _checked_states(p)
+    with np.errstate(all="ignore"):  # as in run_sweep
+        measures_ok, _ = _measures(*state[:4], _modulus(state[4]), _modulus(state[5]))
+    for i, passes in enumerate((ok & measures_ok).tolist()):
+        try:
+            _point(_row(p, i))
+        except (AssemblyError, ValueError):
+            assert not passes, points[i]
+        else:
+            assert passes, points[i]
