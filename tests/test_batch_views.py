@@ -2,9 +2,12 @@
 view point by point; the runtime views of one point, point_state and
 evaluate_point, equal their rows of a batch; the column drawers equal
 their draws written out point by point, bit for bit, the state checks'
-one-pass draw equals their four column draws, and the public draws are
-their one-row views; and both correlator kernels keep kappa
-odd and omega even in the delay.  All compare exactly."""
+one-pass draw equals their four column draws, and the public draw is
+its one-row view; both correlator kernels keep kappa odd and omega even
+in the delay; the public views are unchanged when lengths, times,
+switching weights and the width scale together and the gaps inversely;
+and over the whole finite float range a batch's pass/fail mask equals
+whether the single-point route raises.  All compare exactly."""
 
 import math
 import random
@@ -227,9 +230,9 @@ def test_decade_column_draws_equal_scalar_decade_draws(seed, n):
             assert [getattr(q, name).hex() for q in points] == [v.hex() for v in column.tolist()]
     # the exponent and sign columns through numpy's power, whose last bit
     # can differ from Python's
-    separation, delay = 10.0 ** np.array(exponents).T
-    assert [v.hex() for v in separation] == [v.hex() for v in batch.separation]
-    delay = [math.copysign(v, s) for v, s in zip(delay.tolist(), signs)]
+    separation, delay = (10.0 ** np.array(exponents).T).tolist()
+    assert [v.hex() for v in separation] == [v.hex() for v in batch.separation.tolist()]
+    delay = [math.copysign(v, s) for v, s in zip(delay, signs)]
     assert [v.hex() for v in delay] == [v.hex() for v in batch.delay.tolist()]
     assert batch_rng.getstate() == point_rng.getstate()
 
