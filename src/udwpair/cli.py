@@ -68,7 +68,7 @@ def _load_config(path: str) -> dict:
             raw = json.load(fh, parse_int=float)
     except OSError as exc:
         raise ValueError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
         raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValueError(f"config {path} must hold a JSON object")
@@ -129,6 +129,9 @@ def _run_and_write(spec: SweepSpec, out: str | None) -> int | None:
         rows = run_sweep(spec)
     except SweepError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return None
+    except MemoryError:
+        print(f"error: a sweep of {spec.steps} steps does not fit in memory", file=sys.stderr)
         return None
     if not out:
         return emit_csv(rows, sys.stdout)

@@ -17,22 +17,23 @@ gap phases:
     phase_b    Omega_B tau_B0, with tau_B0 = tau_A0 + delay
 
 The rho14 phase is gamma = phase_a + phase_b and the rho23 phase is
-phase_a - phase_b.  The four field scalars are computed two independent
-ways: closed forms built on the Dawson function, and a radial
-momentum-space quadrature oracle (nested Gauss-Kronrod panels of two
-oscillation periods in k, each integrand evaluated once for the value and
-its error estimate, trig by angle addition per panel and per node, sinc
-by one divide; a rotated contour once the separation or delay spans many
-widths).  The test suite and verify hold the two routes against
+phase_a - phase_b.  f_j has one exact closed form.  kappa and omega are
+computed two independent ways: closed forms built on the Dawson function,
+and a radial momentum-space quadrature oracle (nested Gauss-Kronrod panels
+of two oscillation periods in k, each integrand evaluated once for the
+value and its error estimate, trig by angle addition per panel and per
+node, sinc by one divide; a rotated contour once the separation or delay
+spans many widths).  The test suite and verify hold the two routes against
 each other to 1e-6 relative.  Both run elementwise over numpy arrays
 (the sweeps evaluate whole grids at once, verify whole batches of
 draws); the public functions evaluate one detector pair.
 
 Conventions: the smearing profile F(x) = (sqrt(pi) sigma)^(-3) exp(-x^2/sigma^2)
 transforms to F~(k) = (2 pi)^(-3/2) exp(-sigma^2 k^2 / 4) (symmetric Fourier
-convention), which is what pins f_j = exp(-lambda_j^2 eta_j^2 / (2 pi^2 sigma^2)).
-The field scalars depend on eta_j / sigma, L / sigma and dt / sigma alone:
-the array kernels take those in widths, and _view divides sigma out.
+convention), which is what pins f_j = exp(-g_j^2 / (2 pi^2)), with
+g_j = lambda_j eta_j / sigma.  The field scalars depend on g_a, g_b,
+L / sigma and dt / sigma alone: the array kernels take those in widths, and
+_view forms them.
 """
 
 import functools
@@ -70,7 +71,7 @@ _NODES = 16  # Gauss nodes of the Gauss-Kronrod pair, which adds 17
 _ROTATED_EDGES = np.array([0.0, 1.0 / 27.0, 1.0 / 9.0, 1.0 / 3.0, 1.0])
 _ROTATED_CUT = 80.0
 _QUAD_ERROR_CEILING = 1e-9
-_INTEGRALS = ("decay-factor", "commutator", "anticommutator")
+_INTEGRALS = ("commutator", "anticommutator")
 
 
 class QuadratureError(RuntimeError):
@@ -162,9 +163,9 @@ def _phases(gap_a, gap_b, time_origin, delay):
     return gap_a * time_origin, gap_b * (time_origin + delay)
 
 
-def _decay(le):
-    # le = coupling * switching weight, in widths
-    return np.exp(-le * le / (2.0 * _PI2))
+def _decay(g):
+    # exact: the decay factor's k-integral is 1 in widths
+    return np.exp(-g * g / (2.0 * _PI2))
 
 
 def _kappa(cprod, sep, delay):
@@ -216,16 +217,12 @@ def _omega(cprod, sep, delay):
     return out
 
 
-def _correlators(lam_a, eta_a, lam_b, eta_b, sep, delay):
-    """(f_a, f_b, kappa, omega) elementwise over arrays in widths: the
-    kernel behind closed_form_correlators and the sweeps."""
-    cprod = lam_a * lam_b * eta_a * eta_b
-    return (
-        _decay(lam_a * eta_a),
-        _decay(lam_b * eta_b),
-        _kappa(cprod, sep, delay),
-        _omega(cprod, sep, delay),
-    )
+def _correlators(g_a, g_b, sep, delay):
+    """(f_a, f_b, kappa, omega) elementwise over arrays in widths, from each
+    detector's coupling g_j = lambda_j eta_j / sigma: the kernel behind
+    closed_form_correlators and the sweeps."""
+    cprod = g_a * g_b
+    return _decay(g_a), _decay(g_b), _kappa(cprod, sep, delay), _omega(cprod, sep, delay)
 
 
 def _batch_of_one(*values):
@@ -238,10 +235,11 @@ def _batch_of_one(*values):
 
 def _view(kernel, a: DetectorParams, b: DetectorParams, g: PairGeometry) -> CorrelatorSet:
     # one detector pair through a kernel over arrays, as a batch of one, in
-    # widths; the phases take the gaps, time origin and delay as given
+    # widths, each detector as its coupling g = lambda eta / sigma; the
+    # phases take the gaps, time origin and delay as given
     s = g.smearing_width
-    detectors = (a.coupling, a.switching_weight / s, b.coupling, b.switching_weight / s)
-    values = kernel(*_batch_of_one(*detectors, g.separation / s, g.delay / s))
+    couplings = (a.coupling * (a.switching_weight / s), b.coupling * (b.switching_weight / s))
+    values = kernel(*_batch_of_one(*couplings, g.separation / s, g.delay / s))
     phases = _phases(a.energy_gap, b.energy_gap, g.time_origin, g.delay)
     return CorrelatorSet(*(v.item() for v in values), *phases)
 
@@ -355,24 +353,18 @@ def _rotated(sep, delay):
         return scale * values, scale * err
 
 
-def _oracle(lam_a, eta_a, lam_b, eta_b, sep, delay):
-    """(f_a, f_b, kappa, omega) by quadrature over 1-D arrays of draws in
-    widths: the kernel behind oracle_correlators and verify.  Raises
-    QuadratureError, naming the first draw whose estimate passes the
-    ceiling."""
-    lam_a, eta_a, lam_b, eta_b, sep, delay = (
-        np.ravel(v).astype(float)
-        for v in np.broadcast_arrays(lam_a, eta_a, lam_b, eta_b, sep, delay)
-    )
+def _oracle(g_a, g_b, sep, delay):
+    """(f_a, f_b, kappa, omega) over equal 1-D arrays of draws in widths,
+    kappa and omega by quadrature and f by its exact closed form: the
+    kernel behind oracle_correlators and verify.  Raises QuadratureError,
+    naming the first draw whose estimate passes the ceiling."""
     far = _panels(sep, delay) > _MAX_PANELS
     near = ~far
-    # I_f is I_omega at L = dt = 0: one row after the near draws', for all
-    rows = [np.append(v[near], 0.0) for v in (sep, delay)]
-    kspace = np.array(_kspace(*rows))  # [values, estimates] of [I_kappa, I_omega], per row
-    row = np.cumsum(near) - 1  # each near draw's row; the far draws' are replaced below
-    values, err = np.concatenate((kspace[:, 1:, np.full(sep.size, -1)], kspace[..., row]), 1)
-    values[1:, far], err[1:, far] = _rotated(sep[far], delay[far])
-    i_f, i_kappa, i_omega = values
+    # [values, estimates] of [I_kappa, I_omega], per draw
+    bands = np.empty((2, 2, sep.size))
+    bands[..., near] = _kspace(sep[near], delay[near])
+    bands[..., far] = _rotated(sep[far], delay[far])
+    (i_kappa, i_omega), err = bands
     bad = ~(err <= _QUAD_ERROR_CEILING)  # a nan estimate fails too
     if bad.any():
         i = int(np.argmax(bad.any(axis=0)))
@@ -382,13 +374,8 @@ def _oracle(lam_a, eta_a, lam_b, eta_b, sep, delay):
             f"(ceiling {_QUAD_ERROR_CEILING:.0e}) at separation {sep[i].item()!r} "
             f"and delay {delay[i].item()!r} widths"
         )
-    cprod = lam_a * lam_b * eta_a * eta_b
-    return (
-        np.exp(-((lam_a * eta_a) ** 2) * i_f / (2.0 * _PI2)),
-        np.exp(-((lam_b * eta_b) ** 2) * i_f / (2.0 * _PI2)),
-        -cprod / (2.0 * _PI2) * i_kappa,
-        -cprod / _PI2 * i_omega,
-    )
+    cprod = g_a * g_b
+    return _decay(g_a), _decay(g_b), -cprod / (2.0 * _PI2) * i_kappa, -cprod / _PI2 * i_omega
 
 
 def oracle_correlators(a: DetectorParams, b: DetectorParams, g: PairGeometry) -> CorrelatorSet:
@@ -399,21 +386,21 @@ def oracle_correlators(a: DetectorParams, b: DetectorParams, g: PairGeometry) ->
     done analytically; what remains are one-dimensional Gaussian-damped,
     oscillatory integrals:
 
-        I_f   = int_0^inf k exp(-sigma^2 k^2 / 2) dk
-        f_j   = exp(-lambda_j^2 eta_j^2 I_f / (2 pi^2))
         kappa = -(C / 2 pi^2) int_0^inf k exp(-sigma^2 k^2/2) sinc(kL) sin(k dt) dk
         omega = -(C / pi^2)   int_0^inf k exp(-sigma^2 k^2/2) sinc(kL) cos(k dt) dk
 
-    with C the coupling product.  They are summed in units of sigma, where
-    I_f = 1 is the omega integral at L = dt = 0, summed once per call.
-    Up to (L + |dt|) / sigma = 256 pi / 9.1, about 88.4, kappa and omega
-    are summed in k by 33-node Gauss-Kronrod panels, each at most two
-    oscillation periods and two envelope widths 2/sigma wide.  Past that
-    they move to the rotated contour of _rotated (numerical steepest
-    descent, Huybrechs and Vandewalle, SIAM J. Numer. Anal. 44, 1026,
-    2006), whose sine transform does not oscillate; its kappa is the exact
-    Gaussian that the closed form also uses.  Neither band shares code with the closed forms (no
-    Dawson function), so this route serves as their independent oracle.
+    with C the coupling product.  The decay factor's integral,
+    int_0^inf k exp(-k^2 / 2) dk in widths, is exactly 1, so f_j takes the
+    closed form exp(-g_j^2 / (2 pi^2)), g_j = lambda_j eta_j / sigma, on
+    both routes.  Up to (L + |dt|) / sigma = 256 pi / 9.1, about 88.4,
+    kappa and omega are summed in k by 33-node Gauss-Kronrod panels, each
+    at most two oscillation periods and two envelope widths 2/sigma wide.
+    Past that they move to the rotated contour of _rotated (numerical
+    steepest descent, Huybrechs and Vandewalle, SIAM J. Numer. Anal. 44,
+    1026, 2006), whose sine transform does not oscillate; its kappa is the
+    exact Gaussian that the closed form also uses.  Neither band shares
+    code with the closed forms (no Dawson function), so this route serves
+    as their independent oracle.
     The error estimate is the difference between the 33-node Kronrod sum
     and the 16-node Gauss sum on the same integrand values;
     QuadratureError is raised when it passes 1e-9 absolute.

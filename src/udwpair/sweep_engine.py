@@ -233,7 +233,7 @@ def _checked_states(p: ModelParams):
     check of the scalar route."""
     with np.errstate(all="ignore"):  # as in _point
         correlators = (
-            *_correlators(p.lambda_a, p.eta_a, p.lambda_b, p.eta_b, p.separation, p.delay),
+            *_correlators(p.lambda_a * p.eta_a, p.lambda_b * p.eta_b, p.separation, p.delay),
             *_phases(p.gap_a, p.gap_b, p.tau_a0, p.delay),
         )
         elements = _assemble(p.theta, *correlators)

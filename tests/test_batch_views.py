@@ -5,7 +5,8 @@ their draws written out point by point, bit for bit, the state checks'
 one-pass draw equals their four column draws, and the public draw is
 its one-row view; both correlator kernels keep kappa odd and omega even
 in the delay; the public views are unchanged when lengths, times,
-switching weights and the width scale together and the gaps inversely;
+switching weights and the width scale together and the gaps inversely,
+and when the couplings and switching weights trade a factor;
 and over the whole finite float range a batch's pass/fail mask equals
 whether the single-point route raises.  All compare exactly."""
 
@@ -103,10 +104,11 @@ _MIXED = [
 
 
 def _in_widths(draws):
-    # kernel arguments of the draws: switching weights, L and dt divided by
-    # the width, which is exact for the powers of two that _DECADE draws
+    # kernel arguments of the draws, as _view forms them: each coupling
+    # g = lambda (eta / sigma), and L and dt over the width, which is exact
+    # for the powers of two that _DECADE draws
     lam_a, eta_a, lam_b, eta_b, sep, delay, sigma = map(np.array, zip(*draws))
-    return lam_a, eta_a / sigma, lam_b, eta_b / sigma, sep / sigma, delay / sigma
+    return lam_a * (eta_a / sigma), lam_b * (eta_b / sigma), sep / sigma, delay / sigma
 
 
 def _batch(points):
@@ -241,7 +243,7 @@ def test_decade_column_draws_equal_scalar_decade_draws(seed, n):
 @given(st.lists(_DECADE, min_size=1, max_size=12))
 @example(_MIXED)
 def test_oracle_kernel_equals_its_scalar_view(draws):
-    # guards I_f, summed once per batch and taken by every draw
+    # a batch mixes the k-space and rotated bands; each draw takes its own
     batch = _oracle(*_in_widths(draws))
     for i, (lam_a, eta_a, lam_b, eta_b, sep, delay, sigma) in enumerate(draws):
         a, b = DetectorParams(lam_a, eta_a), DetectorParams(lam_b, eta_b)
@@ -272,8 +274,9 @@ def _bits(obj):
 def test_public_views_are_covariant_under_a_change_of_width(point, s):
     # lengths, times, switching weights and the width times s, the gaps
     # over s: the views divide the width out, so their kernels see the same
-    # numbers, and every phase is the same product; s is a power of two,
-    # so each rescaling is exact
+    # numbers, and every phase is the same product.  Couplings times s and
+    # switching weights over s: the views take them only as their product.
+    # s is a power of two, so each rescaling is exact
     p = ModelParams(*point)
     a, b, g = detector_pair(p)
     scaled = (
@@ -281,11 +284,18 @@ def test_public_views_are_covariant_under_a_change_of_width(point, s):
         DetectorParams(b.coupling, b.switching_weight * s, b.energy_gap / s),
         PairGeometry(g.separation * s, g.delay * s, g.smearing_width * s, g.time_origin * s),
     )
+    traded = (
+        DetectorParams(a.coupling * s, a.switching_weight / s, a.energy_gap),
+        DetectorParams(b.coupling * s, b.switching_weight / s, b.energy_gap),
+        g,
+    )
     start = InitialState(p.theta)
     for view in (closed_form_correlators, oracle_correlators):
-        c, c_scaled = view(a, b, g), view(*scaled)
-        assert _bits(c_scaled) == _bits(c)
-        assert _bits(assemble_main(start, c_scaled)) == _bits(assemble_main(start, c))
+        c = view(a, b, g)
+        for moved in (scaled, traded):
+            c_moved = view(*moved)
+            assert _bits(c_moved) == _bits(c)
+            assert _bits(assemble_main(start, c_moved)) == _bits(assemble_main(start, c))
 
 
 # a point of _POINT's domain with up to three knobs replaced by values from

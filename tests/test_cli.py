@@ -144,10 +144,13 @@ def test_config_rejects_non_numeric_value(tmp_path, capsys):
     assert main(["point", "--config", str(cfg)]) == 2
 
 
-def test_config_rejects_malformed_json(tmp_path):
+def test_config_rejects_malformed_json(tmp_path, capsys):
+    # text that is not JSON, and bytes that are not UTF-8: both name the file
     cfg = tmp_path / "cfg.json"
-    cfg.write_text("{not json")
-    assert main(["point", "--config", str(cfg)]) == 2
+    for data in (b"{not json", b"\xff\xfe"):
+        cfg.write_bytes(data)
+        assert main(["point", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: config {cfg} is not valid JSON: ")
 
 
 def test_config_missing_file(tmp_path):
@@ -201,6 +204,20 @@ def test_sweep_aborts_on_bad_grid_point(capsys):
     rc = main(["sweep", "--vary", "lambda", "--from", "-1", "--to", "1", "--steps", "3"])
     assert rc == 1
     assert "lambda=-1.0" in capsys.readouterr().err
+
+
+def test_sweep_that_does_not_fit_in_memory_exits_1(monkeypatch, capsys):
+    # a runtime failure that names the step count; the grid is never
+    # allocated, since a host that overcommits memory may grant it
+    def exhausted(spec):
+        raise MemoryError("Unable to allocate 745. GiB")
+
+    monkeypatch.setattr(udwpair.cli, "run_sweep", exhausted)
+    argv = ["sweep", "--vary", "l", "--from", "0", "--to", "1", "--steps", "100000000000"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a sweep of 100000000000 steps does not fit in memory\n"
 
 
 def test_no_subcommand_exits_2():

@@ -24,6 +24,7 @@ from udwpair.field_correlators import (
     _PI2,
     _NODES,
     _correlators,
+    _decay,
     _gauss_kronrod,
     _kappa,
     _kspace,
@@ -210,7 +211,7 @@ def test_omega_series_runs_on_its_rows_alone():
     # omega's small-L series overflows at huge delays; a row that takes the
     # direct form never evaluates it, so the batch does not warn, and each
     # row equals its batch of one bit for bit
-    rows = np.array([[1.0, 1.0, 1.0, 1.0, 0.0, 1.0], [1.0, 1.0, 1.0, 1.0, 1e154, 1e154]])
+    rows = np.array([[1.0, 1.0, 0.0, 1.0], [1.0, 1.0, 1e154, 1e154]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         batch = _correlators(*rows.T)
@@ -404,21 +405,31 @@ def test_kspace_band_matches_closed_form_integrals():
 
 
 def test_oracle_takes_the_decay_factor_once_per_width():
-    # two near draws, with different L and dt, and a far draw: each reads
-    # I_f from the batch's one L = dt = 0 row, so their f agree bit for
-    # bit.  Summed on each near draw's own panels, the first two differed
-    # in the last bits of f_a.  In widths that row gives I_f = 1 exactly,
-    # and f equals the closed form's
-    sep, delay = np.array([0.5, 4.0, 1e4]), np.array([26.0, -1.0, 3.0])
-    assert (_panels(sep, delay) <= _MAX_PANELS).tolist() == [True, True, False]
+    # in widths the decay factor's integral, the omega integral at
+    # L = dt = 0, is 1 exactly, so f has one exact route, _decay(g), which
+    # the oracle takes too.  Batches of two near draws, with different L and
+    # dt, and a far draw; all far; all near; and a single draw: each runs
+    # _kspace or _rotated on an empty band, and equals its public views
     (_, i_f), _ = _kspace(np.zeros(1), np.zeros(1))
     assert i_f[0] == 1.0
-    couplings = [np.full(3, v) for v in (3.0, 1.5, 3.0, 0.5)]
-    oracle = _oracle(*couplings, sep, delay)
-    closed = _correlators(*couplings, sep, delay)
-    for f, ref in zip(oracle[:2], closed[:2]):
-        assert [v.hex() for v in f] == [v.hex() for v in ref]
-        assert len(set(f.tolist())) == 1
+    batches = [
+        ([0.5, 4.0, 1e4], [26.0, -1.0, 3.0], [True, True, False]),
+        ([1e4, 2e4], [3.0, -3.0], [False, False]),
+        ([0.5, 4.0], [26.0, -1.0], [True, True]),
+        ([2.0], [-1.5], [True]),
+    ]
+    for sep, delay, near in batches:
+        sep, delay = np.array(sep), np.array(delay)
+        assert (_panels(sep, delay) <= _MAX_PANELS).tolist() == near
+        g_a, g_b = np.full(sep.size, 4.5), np.full(sep.size, 1.5)
+        oracle = _oracle(g_a, g_b, sep, delay)
+        closed = _correlators(g_a, g_b, sep, delay)
+        for f, g, ref in zip(oracle[:2], (g_a, g_b), closed[:2]):
+            assert [v.hex() for v in f] == [v.hex() for v in ref] == [v.hex() for v in _decay(g)]
+        a, b = DetectorParams(3.0, 1.5), DetectorParams(3.0, 0.5)
+        for i in range(sep.size):
+            one = oracle_correlators(a, b, PairGeometry(sep[i].item(), delay[i].item()))
+            assert (one.f_a, one.f_b, one.kappa, one.omega) == tuple(v[i] for v in oracle)
 
 
 def test_quadrature_failure_is_reported():
