@@ -8,8 +8,8 @@ Subcommands:
 * verify   run the self-check battery
 
 Exit codes: 0 success, 1 runtime failure (state assembly broke, file
-could not be written, a self-check failed), 2 usage error (bad flags, bad
-config, bad sweep bounds).
+could not be written, a self-check failed or could not run), 2 usage
+error (bad flags, bad config, bad sweep bounds).
 
 Parameter resolution per knob: specific flag, then generic flag, then
 config file entry (keys named like the flags), then the built-in default.
@@ -27,6 +27,7 @@ import sys
 from dataclasses import asdict
 
 from .detector_state import AssemblyError, InitialState
+from .field_correlators import QuadratureError
 from .quantum_measures import spectrum_general
 from .sweep_engine import (
     FIGURE_PRESETS,
@@ -164,7 +165,16 @@ def cmd_figures(which: str, out_dir: str) -> int:
 
 
 def cmd_verify(seed: int = 0, points: int | None = None) -> int:
-    results = run_all(seed=seed, points=points)
+    # main has checked points, so whatever run_all raises is a runtime failure
+    try:
+        results = run_all(seed=seed, points=points)
+    except MemoryError:
+        draws = "the default draw counts" if points is None else f"{points} draws per check"
+        print(f"error: verify with {draws} does not fit in memory", file=sys.stderr)
+        return 1
+    except (AssemblyError, QuadratureError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     ok = True
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -245,6 +255,8 @@ def main(argv=None) -> int:
         if args.command == "figures":
             return cmd_figures(args.which, args.out)
         if args.command == "verify":
+            if args.points is not None and args.points < 1:
+                raise ValueError(f"points must be at least 1, got {args.points!r}")
             return cmd_verify(seed=args.seed, points=args.points)
         params = _resolve_params(args)
         if args.command == "point":

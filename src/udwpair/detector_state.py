@@ -115,12 +115,12 @@ def _margins(rho11, rho22, rho33, rho44, m14, m23):
     return dev, d, blocks
 
 
-def _state_ok(rho11, rho22, rho33, rho44, rho14, rho23):
-    """(ok, populations with dust clamped) over a batch of X states; ok is
-    False where from_elements would raise.  Every comparison is written so
-    that nan fails it, and a non-finite element makes some margin nan or
-    infinite."""
-    dev, diags, blocks = _margins(rho11, rho22, rho33, rho44, _modulus(rho14), _modulus(rho23))
+def _state_ok(rho11, rho22, rho33, rho44, m14, m23):
+    """(ok, populations with dust clamped) over a batch of X states, from
+    the populations and coherence moduli; ok is False where from_elements
+    would raise.  Every comparison is written so that nan fails it, and a
+    non-finite element makes some margin nan or infinite."""
+    dev, diags, blocks = _margins(rho11, rho22, rho33, rho44, m14, m23)
     ok = abs(dev) <= _RAISE_TOL
     for v in (rho11, rho22, rho33, rho44):
         ok = ok & (v >= -_RAISE_TOL)

@@ -2,14 +2,16 @@
 
 Every closed form downstream of the parameters is elementwise, so a sweep
 grid is evaluated as one batch: correlators, states and measures run over
-numpy arrays in one pass.  A single point runs the public scalar route,
-whose numbers equal its batch row bit for bit, and a batch reruns its
-first failing point along it for the error.  All lengths and times are
-expressed in units of the switching width (the Gaussian smearing scale is
-pinned to 1), which matches how the figure presets are defined.
+numpy arrays in one checked pass, which verify shares.  A single point
+runs the public scalar route, whose numbers equal its batch row bit for
+bit, and a batch reruns its first failing point along it for the error.
+All lengths and times are expressed in units of the switching width (the
+Gaussian smearing scale is pinned to 1), which matches how the figure
+presets are defined.
 """
 
 import math
+import operator
 from dataclasses import astuple, dataclass
 from typing import NamedTuple
 
@@ -132,6 +134,10 @@ class SweepSpec:
     def __post_init__(self):
         if self.vary not in VARY_CHOICES:
             raise ValueError(f"vary must be one of {VARY_CHOICES}, got {self.vary!r}")
+        try:
+            operator.index(self.steps)
+        except TypeError:
+            raise ValueError(f"steps must be an integer, got {self.steps!r}") from None
         if self.steps < 2:
             raise ValueError(f"steps must be at least 2, got {self.steps!r}")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
@@ -196,15 +202,15 @@ def _point(p: ModelParams):
         return c, state, measure_set(state)
 
 
-def _failure(ok, replay):
-    """(index, exception) of the first point of a batch that fails a check,
-    or None.  replay(index) reruns that point alone, so the exception is
-    the one a single evaluation of it raises."""
+def _failure(ok, p: ModelParams):
+    """(index, exception) of the first point of the batch p that fails a
+    check, or None.  That point is rerun alone, so the exception is the one
+    a single evaluation of it raises."""
     if ok.all():
         return None
     index = int(np.argmin(ok))
     try:
-        replay(index)
+        _point(_row(p, index))
     except (AssemblyError, ValueError) as exc:
         return index, exc
     return index, AssemblyError("the point fails an invariant check only inside its batch")
@@ -228,27 +234,32 @@ def _params_ok(p: ModelParams, correlators):
 
 
 def _checked_states(p: ModelParams):
-    """(ok, correlators, state) of a batch of points, the state's
-    populations with dust clamped; ok is False where a point fails a
-    check of the scalar route."""
+    """(ok, correlators, state, moduli, measures) of a batch of points: the
+    one checked pass that sweeps and verify share.  The state's populations
+    have their dust clamped, moduli are |rho14| and |rho23|, and measures
+    are (c_l1, c_rec, negativity).  ok is the whole accept mask: False
+    where a point fails a check of the scalar route."""
     with np.errstate(all="ignore"):  # as in _point
         correlators = (
             *_correlators(p.lambda_a * p.eta_a, p.lambda_b * p.eta_b, p.separation, p.delay),
             *_phases(p.gap_a, p.gap_b, p.tau_a0, p.delay),
         )
         elements = _assemble(p.theta, *correlators)
-        ok, diagonals = _state_ok(*elements)
-        return ok & _params_ok(p, correlators), correlators, (*diagonals, *elements[4:])
+        moduli = (_modulus(elements[4]), _modulus(elements[5]))
+        ok, diagonals = _state_ok(*elements[:4], *moduli)
+        measures_ok, measures = _measures(*diagonals, *moduli)
+        ok &= measures_ok & _params_ok(p, correlators)
+    return ok, correlators, (*diagonals, *elements[4:]), moduli, measures
 
 
 def _batch_states(p: ModelParams):
-    """Correlators and state of a batch; raises the error of its first
-    failing point."""
-    ok, correlators, state = _checked_states(p)
-    found = _failure(ok, lambda i: _point(_row(p, i)))
+    """(correlators, state, moduli, measures) of a batch, as _checked_states
+    gives them; raises the error of its first failing point."""
+    ok, *batch = _checked_states(p)
+    found = _failure(ok, p)
     if found is not None:
         raise found[1]
-    return correlators, state
+    return tuple(batch)
 
 
 def point_state(p: ModelParams):
@@ -270,11 +281,8 @@ def run_sweep(spec: SweepSpec) -> list:
     values[-1] = spec.stop  # exact endpoint regardless of rounding
     fixed = {k: np.full(spec.steps, v, dtype=float) for k, v in vars(spec.fixed).items()}
     p = ModelParams(**(fixed | dict.fromkeys(KNOBS[spec.vary][0], values)))
-    ok, correlators, state = _checked_states(p)
-    with np.errstate(all="ignore"):  # a failed point may carry inf or nan
-        moduli = (_modulus(state[4]), _modulus(state[5]))
-        measures_ok, measures = _measures(*state[:4], *moduli)
-    found = _failure(ok & measures_ok, lambda i: _point(_row(p, i)))
+    ok, correlators, state, moduli, measures = _checked_states(p)
+    found = _failure(ok, p)
     if found is not None:
         index, exc = found
         raise SweepError(f"sweep failed at {spec.vary}={float(values[index])!r}: {exc}") from exc

@@ -15,13 +15,7 @@ import numpy as np
 
 from .detector_state import _appendix, _dense, _modulus
 from .field_correlators import _correlators, _oracle
-from .quantum_measures import (
-    _negativity,
-    _negativity_closed,
-    _negativity_full,
-    _spectrum,
-    _spectrum_closed,
-)
+from .quantum_measures import _negativity_closed, _negativity_full, _spectrum, _spectrum_closed
 from .special_functions import _dawson
 from .sweep_engine import ModelParams, _batch_states, _row
 
@@ -106,13 +100,6 @@ def _joined(*batches) -> ModelParams:
     return ModelParams(*map(np.concatenate, zip(*(vars(b).values() for b in batches))))
 
 
-def _state_draw(rng: random.Random, assembly: int, each: int) -> ModelParams:
-    """The state checks' points as one batch: the assembly check's, with
-    random time origins, then `each` apiece for the spectrum, physicality
-    and negativity checks, as four _draw calls in that order draw them."""
-    return _joined(_draw(rng, assembly, tau_span=5.0), _draw(rng, 3 * each))
-
-
 def random_model_params(
     rng: random.Random,
     *,
@@ -147,10 +134,6 @@ def _worst(errors) -> float:
     """The largest of equal-shape error arrays; nan if any is nan, so that
     it fails the tolerance."""
     return float(np.max(errors))
-
-
-def _moduli(state):
-    return _modulus(state[4]), _modulus(state[5])
 
 
 def _trace(diagonals):
@@ -208,8 +191,7 @@ def _check_assembly(theta, correlators, state) -> CheckResult:
     )
 
 
-def _check_spectrum(state) -> CheckResult:
-    moduli = _moduli(state)
+def _check_spectrum(state, moduli) -> CheckResult:
     general = _spectrum(*state[:4], *moduli)
     closed = _spectrum_closed(*state[:4], *moduli)
     worst = _worst([np.abs(a - b) for a, b in zip(closed, general)])
@@ -237,14 +219,12 @@ def _check_physicality(state) -> CheckResult:
     )
 
 
-def _check_negativity(state) -> CheckResult:
-    # the runtime two-block negativity and the one-block closed form, each
-    # against the dense partial transpose
-    moduli = _moduli(state)
+def _check_negativity(state, moduli, measures) -> CheckResult:
+    # the runtime two-block negativity, the column that sweeps print, and
+    # the one-block closed form, each against the dense partial transpose
     full = _negativity_full(*state)
-    two_block = _negativity(*state[:4], *moduli)
     closed = _negativity_closed(state[1], state[2], moduli[0])
-    diff = np.maximum(np.abs(two_block - full), np.abs(closed - full))  # keeps nan
+    diff = np.maximum(np.abs(measures[2] - full), np.abs(closed - full))  # keeps nan
     return CheckResult(
         "negativity-dual-route",
         _worst(diff),
@@ -264,17 +244,15 @@ def run_all(seed: int = 0, points: int | None = None) -> list:
     # the same points whatever they are
     decades = random.Random(f"decades-{seed}")
     correlators = _check_correlators(rng, decades, points or 200)
-    # one batch raises the error of its first failing point, as the state
-    # checks one after another would
-    assembly, each = points or 1000, points or 2000
-    p = _state_draw(rng, assembly, each)
-    kernel, state = _batch_states(p)
-    parts = list(zip(*(np.split(v, np.cumsum([assembly, each, each])) for v in state)))
+    # the four state checks share one draw, with random time origins, and
+    # its one checked pass raises the error of its first failing point
+    p = _draw(rng, points or 2000, tau_span=5.0)
+    kernel, state, moduli, measures = _batch_states(p)
     return [
         _check_dawson(),
         correlators,
-        _check_assembly(p.theta[:assembly], [c[:assembly] for c in kernel], parts[0]),
-        _check_spectrum(parts[1]),
-        _check_physicality(parts[2]),
-        _check_negativity(parts[3]),
+        _check_assembly(p.theta, kernel, state),
+        _check_spectrum(state, moduli),
+        _check_physicality(state),
+        _check_negativity(state, moduli, measures),
     ]

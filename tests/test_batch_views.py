@@ -1,14 +1,16 @@
 """Property tests: every batched oracle kernel equals its public scalar
 view point by point; the runtime views of one point, point_state and
 evaluate_point, equal their rows of a batch; the column drawers equal
-their draws written out point by point, bit for bit, the state checks'
-one-pass draw equals their four column draws, and the public draw is
-its one-row view; both correlator kernels keep kappa odd and omega even
-in the delay; the public views are unchanged when lengths, times,
-switching weights and the width scale together and the gaps inversely,
-and when the couplings and switching weights trade a factor;
-and over the whole finite float range a batch's pass/fail mask equals
-whether the single-point route raises.  All compare exactly."""
+their draws written out point by point, bit for bit, verify's state
+checks take one column draw right after the correlator draws, and the
+public draw is its one-row view; both correlator kernels keep kappa odd
+and omega even in the delay; the public views are unchanged when
+lengths, times, switching weights and the width scale together and the
+gaps inversely, and when the couplings and switching weights trade a
+factor; over the whole finite float range a batch's pass/fail mask
+equals whether the single-point route raises; and over decades of L and
+dt every state is accepted, with trace 1 and its measures in their
+bounds.  All but the last compare exactly."""
 
 import math
 import random
@@ -41,23 +43,13 @@ from udwpair import (
     random_model_params,
     run_sweep,
     spectrum_closed,
+    verify,
 )
-from udwpair.detector_state import _EVEN_SIGNATURES, _appendix, _dense, _modulus, _moment
+from udwpair.detector_state import _EVEN_SIGNATURES, _appendix, _dense, _moment
 from udwpair.field_correlators import _correlators, _oracle
-from udwpair.quantum_measures import (
-    _measures,
-    _negativity_closed,
-    _negativity_full,
-    _spectrum_closed,
-)
+from udwpair.quantum_measures import _negativity_closed, _negativity_full, _spectrum_closed
 from udwpair.sweep_engine import ModelParams, _batch_states, _checked_states, _point, _row
-from udwpair.verify import (
-    _DECADE_EXPONENTS,
-    _bounds,
-    _decade_draw,
-    _draw,
-    _state_draw,
-)
+from udwpair.verify import _DECADE_EXPONENTS, _bounds, _decade_draw, _draw
 
 # Fixed examples, no example database: the same cases on every run, and
 # nothing written next to the checkout.  No shrinking either: a failing
@@ -111,16 +103,20 @@ def _in_widths(draws):
     return lam_a * (eta_a / sigma), lam_b * (eta_b / sigma), sep / sigma, delay / sigma
 
 
+def _params(points):
+    return ModelParams(*(np.array(column) for column in zip(*points)))
+
+
 def _batch(points):
-    p = ModelParams(*(np.array(column) for column in zip(*points)))
-    correlators, state = _batch_states(p)
-    return p, correlators, state
+    # (p, correlators, state, moduli, measures) of a batch of points
+    p = _params(points)
+    return p, *_batch_states(p)
 
 
 @_SETTINGS
 @given(st.lists(_POINT, min_size=1, max_size=12))
 def test_moment_and_appendix_kernels_equal_their_scalar_views(points):
-    p, correlators, _ = _batch(points)
+    p, correlators, *_ = _batch(points)
     moments = {sig: _moment(*sig, *correlators[:4]) for sig in SIGNATURES}
     # _appendix's one broadcast call over the even signatures equals the
     # eight single-signature calls
@@ -146,8 +142,7 @@ def test_moment_and_appendix_kernels_equal_their_scalar_views(points):
 @_SETTINGS
 @given(st.lists(_POINT, min_size=1, max_size=12))
 def test_measure_oracle_kernels_equal_their_scalar_views(points):
-    _, _, state = _batch(points)
-    moduli = (_modulus(state[4]), _modulus(state[5]))
+    _, _, state, moduli, _ = _batch(points)
     spectra = _spectrum_closed(*state[:4], *moduli)
     dense = _dense(*state)
     full = _negativity_full(*state)
@@ -163,7 +158,7 @@ def test_measure_oracle_kernels_equal_their_scalar_views(points):
 @_SETTINGS
 @given(st.lists(_POINT, min_size=1, max_size=12))
 def test_runtime_views_equal_their_batch_rows(points):
-    p, correlators, state = _batch(points)
+    p, correlators, state, *_ = _batch(points)
     for i, point in enumerate(points):
         alone = ModelParams(*point)
         c, m = point_state(alone)
@@ -200,16 +195,29 @@ def test_column_draws_equal_repeated_point_draws(seed, n, lambda_max, tau_span):
 
 
 @_SETTINGS
-@given(st.integers(0, 2**32 - 1), st.integers(1, 20), st.integers(1, 20))
-def test_one_pass_state_draw_equals_four_column_draws(seed, assembly, each):
-    batch_rng, column_rng = random.Random(seed), random.Random(seed)
-    batch = _state_draw(batch_rng, assembly, each)
-    parts = [_draw(column_rng, assembly, tau_span=5.0)]
-    parts += [_draw(column_rng, each) for _ in range(3)]
-    for name, column in vars(batch).items():
-        drawn = np.concatenate([getattr(q, name) for q in parts])
-        assert [v.hex() for v in drawn.tolist()] == [v.hex() for v in column.tolist()]
-    assert batch_rng.getstate() == column_rng.getstate()
+@given(st.integers(0, 2**32 - 1), st.integers(1, 20))
+def test_state_checks_take_one_draw_after_the_correlator_draws(seed, n):
+    # run_all's one state batch is _draw(rng, n, tau_span=5.0) from the
+    # generator the correlator check has just drawn from
+    after, batches = [], []
+    check_correlators, batch_states = verify._check_correlators, verify._batch_states
+
+    def correlators_then_state(rng, *args):
+        result = check_correlators(rng, *args)
+        after.append(rng.getstate())
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "_check_correlators", correlators_then_state)
+        patch.setattr(verify, "_batch_states", lambda p: batches.append(p) or batch_states(p))
+        verify.run_all(seed=seed, points=n)
+    assert len(after) == len(batches) == 1
+    rng = random.Random()
+    rng.setstate(after[0])
+    expected = _draw(rng, n, tau_span=5.0)
+    for name, column in vars(batches[0]).items():
+        drawn = getattr(expected, name).tolist()
+        assert [v.hex() for v in drawn] == [v.hex() for v in column.tolist()]
 
 
 def _scalar_decade_params(rng):
@@ -317,15 +325,39 @@ _EDGES = [
 @given(st.lists(_WILD_POINT, min_size=1, max_size=20))
 @example(_EDGES)
 def test_batch_mask_equals_the_single_point_route(points):
-    # run_sweep's mask: _checked_states' ok and-ed with _measures' ok
-    p = ModelParams(*(np.array(column) for column in zip(*points)))
-    ok, _, state = _checked_states(p)
-    with np.errstate(all="ignore"):  # as in run_sweep
-        measures_ok, _ = _measures(*state[:4], _modulus(state[4]), _modulus(state[5]))
-    for i, passes in enumerate((ok & measures_ok).tolist()):
+    # the one accept mask that run_sweep and _batch_states read
+    p = _params(points)
+    for i, passes in enumerate(_checked_states(p)[0].tolist()):
         try:
             _point(_row(p, i))
         except (AssemblyError, ValueError):
             assert not passes, points[i]
         else:
             assert passes, points[i]
+
+
+# a point of _POINT's domain with L and dt taken over decades instead:
+# L = 10^e and dt = +-10^e, e uniform over _DECADE_EXPONENTS
+_DECADE_POINT = st.tuples(
+    _POINT,
+    st.floats(*_DECADE_EXPONENTS),
+    st.sampled_from([-1.0, 1.0]),
+    st.floats(*_DECADE_EXPONENTS),
+).map(lambda t: (*t[0][:7], 10.0 ** t[1], t[2] * 10.0 ** t[3], t[0][9]))
+
+_EPS = np.finfo(float).eps
+
+
+@_SETTINGS
+@given(st.lists(_DECADE_POINT, min_size=1, max_size=20))
+def test_states_and_measures_are_physical_over_the_decade_domain(points):
+    # trace 1, C_l1 <= 1 (the X-state bound), C_rec in [0, 2] bits and
+    # negativity in [0, 1/2], each to a few ulps, on every accepted row
+    ok, _, state, _, measures = _checked_states(_params(points))
+    assert ok.all()
+    for row in zip(*(v.tolist() for v in (*state[:4], *measures))):
+        *populations, c_l1, c_rec, negativity = row
+        assert abs(math.fsum(populations) - 1.0) <= 4 * _EPS, row
+        assert c_l1 <= 1.0 + 4 * _EPS, row
+        assert 0.0 <= c_rec <= 2.0, row
+        assert 0.0 <= negativity <= 0.5 + 4 * _EPS, row

@@ -7,7 +7,17 @@ import sys
 import pytest
 
 import udwpair
-from udwpair import CSV_HEADER, ModelParams, SweepSpec, evaluate_point, figure_preset, run_sweep
+from udwpair import (
+    CSV_HEADER,
+    AssemblyError,
+    ModelParams,
+    QuadratureError,
+    SweepSpec,
+    evaluate_point,
+    figure_preset,
+    run_sweep,
+    verify,
+)
 from udwpair.cli import main
 from udwpair.sweep_engine import FIGURE_PRESETS
 
@@ -310,6 +320,35 @@ def test_verify_rejects_non_positive_points(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "points must be at least 1" in captured.err
+
+
+def _raising(exc):
+    def raises(*args, **kwargs):
+        raise exc
+
+    return raises
+
+
+@pytest.mark.parametrize(
+    "kernel, exc",
+    [
+        # what the replay of a batch raises, e.g. for f = 0
+        ("_batch_states", ValueError("CorrelatorSet.f_a must lie in (0, 1], got 0.0")),
+        ("_batch_states", AssemblyError("trace deviates from 1 by 1.000e-06")),
+        ("_oracle", QuadratureError("commutator integral: estimated error 1.000e-08")),
+        ("_draw", MemoryError("Unable to allocate 745. GiB")),
+    ],
+)
+def test_verify_runtime_failures_exit_1(monkeypatch, capsys, kernel, exc):
+    # no large draw is allocated: the kernel raises as it would
+    monkeypatch.setattr(verify, kernel, _raising(exc))
+    assert main(["verify", "--points", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if isinstance(exc, MemoryError):
+        assert captured.err == "error: verify with 5 draws per check does not fit in memory\n"
+    else:
+        assert captured.err == f"error: {exc}\n"
 
 
 def test_point_accepts_a_large_time_origin(capsys):

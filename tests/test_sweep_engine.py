@@ -2,6 +2,7 @@ import io
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from udwpair import (
@@ -82,6 +83,10 @@ def test_spec_validation():
         SweepSpec("l", start=math.inf, stop=1.0, steps=5)
     with pytest.raises(ValueError, match="overflows"):
         SweepSpec("dtau", start=-1e308, stop=1e308, steps=3)
+    for steps in (3.0, 2.5):
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            SweepSpec("l", start=0.0, stop=1.0, steps=steps)
+    assert SweepSpec("l", steps=np.int64(3)).steps == 3
 
 
 def test_failed_grid_point_names_the_value():

@@ -39,20 +39,26 @@ def _plant_in_last(kernel):
 
 def _plant_in_rho22(batch_states):
     def planted(p):
-        correlators, state = batch_states(p)
-        return correlators, (state[0], _nan_at(state[1]), *state[2:])
+        correlators, state, *rest = batch_states(p)
+        return correlators, (state[0], _nan_at(state[1]), *state[2:]), *rest
 
     return planted
 
 
-def _plant_in_array(kernel):
-    return lambda *args: _nan_at(kernel(*args))
+def _plant_in_negativity(batch_states):
+    # in the pass's negativity column, the one that sweeps print
+    def planted(p):
+        *head, measures = batch_states(p)
+        return *head, (*measures[:2], _nan_at(measures[2]))
+
+    return planted
 
 
-def _states(**draw):
-    # (theta, correlators, state) of 20 draws, through verify's
-    # _batch_states, so that a nan planted there reaches the check
-    p = verify._draw(random.Random(0), 20, **draw)
+def _states():
+    # (theta, correlators, state, moduli, measures) of 20 draws with random
+    # time origins, as run_all draws them, through verify's _batch_states,
+    # so that a nan planted there reaches the check
+    p = verify._draw(random.Random(0), 20, tau_span=5.0)
     return p.theta, *verify._batch_states(p)
 
 
@@ -63,10 +69,10 @@ _CHECKS = {
     "correlators-vs-quadrature": lambda: verify._check_correlators(
         random.Random(0), random.Random(1), 20
     ),
-    "assembly-dual-route": lambda: verify._check_assembly(*_states(tau_span=5.0)),
-    "spectrum-dual-route": lambda: verify._check_spectrum(_states()[2]),
+    "assembly-dual-route": lambda: verify._check_assembly(*_states()[:3]),
+    "spectrum-dual-route": lambda: verify._check_spectrum(*_states()[2:4]),
     "physicality": lambda: verify._check_physicality(_states()[2]),
-    "negativity-dual-route": lambda: verify._check_negativity(_states()[2]),
+    "negativity-dual-route": lambda: verify._check_negativity(*_states()[2:]),
 }
 
 
@@ -78,7 +84,7 @@ _CHECKS = {
         ("assembly-dual-route", "_batch_states", _plant_in_rho22),
         ("spectrum-dual-route", "_spectrum", _plant_in_last),
         ("physicality", "_batch_states", _plant_in_rho22),
-        ("negativity-dual-route", "_negativity", _plant_in_array),
+        ("negativity-dual-route", "_batch_states", _plant_in_negativity),
     ],
 )
 def test_a_nan_discrepancy_fails_its_check(monkeypatch, check, kernel, plant):
