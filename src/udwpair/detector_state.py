@@ -48,6 +48,9 @@ __all__ = [
 # Deviations beyond this are formula bugs and raise; below it, negative
 # population dust is clamped to zero.
 _RAISE_TOL = 1e-9
+# Block eigenvalue dust below zero that the entropy counts as 0; anything
+# lower raises.
+_EIG_TOL = 1e-10
 
 
 class AssemblyError(RuntimeError):
@@ -101,32 +104,34 @@ def _block_eigs(a, b, c):
     return lo, hi
 
 
+def _spectrum(rho11, rho22, rho33, rho44, m14, m23):
+    """Block eigenvalues (inner low, inner high, outer low, outer high),
+    elementwise over arrays, from the populations and coherence moduli."""
+    return (*_block_eigs(rho22, rho33, m23), *_block_eigs(rho11, rho44, m14))
+
+
 def _margins(rho11, rho22, rho33, rho44, m14, m23):
-    """Invariant margins of an X state, elementwise over arrays, from the
-    populations and coherence moduli: the trace deviation, the populations
-    with dust below zero clamped to 0, and for the outer then the inner
-    block |off-diagonal|^2 - product of populations and the low eigenvalue."""
+    """(trace deviation, populations with dust below zero clamped to 0,
+    block spectrum) of X states, elementwise over arrays, from the
+    populations and coherence moduli.  The spectrum is _spectrum's of the
+    clamped populations: the one that the entropy reads."""
     dev = rho11 + rho22 + rho33 + rho44 - 1.0
     d = [np.maximum(0.0, v) for v in (rho11, rho22, rho33, rho44)]  # keeps -0.0
-    blocks = [
-        (mod * mod - d1 * d2, _block_eigs(d1, d2, mod)[0])
-        for d1, d2, mod in ((d[0], d[3], m14), (d[1], d[2], m23))
-    ]
-    return dev, d, blocks
+    return dev, d, _spectrum(*d, m14, m23)
 
 
 def _state_ok(rho11, rho22, rho33, rho44, m14, m23):
-    """(ok, populations with dust clamped) over a batch of X states, from
-    the populations and coherence moduli; ok is False where from_elements
-    would raise.  Every comparison is written so that nan fails it, and a
-    non-finite element makes some margin nan or infinite."""
-    dev, diags, blocks = _margins(rho11, rho22, rho33, rho44, m14, m23)
+    """(ok, populations with dust clamped, block spectrum) over a batch of X
+    states, from the populations and coherence moduli; ok is False where
+    from_elements would raise.  Every comparison is written so that nan
+    fails it, and a non-finite element makes some margin nan or infinite."""
+    dev, diags, spectrum = _margins(rho11, rho22, rho33, rho44, m14, m23)
     ok = abs(dev) <= _RAISE_TOL
     for v in (rho11, rho22, rho33, rho44):
         ok = ok & (v >= -_RAISE_TOL)
-    for excess, low_eig in blocks:
-        ok = ok & (excess <= _RAISE_TOL) & (low_eig >= -_RAISE_TOL)
-    return ok, diags
+    for low in spectrum[::2]:
+        ok = ok & (low >= -_EIG_TOL)
+    return ok, diags, spectrum
 
 
 @dataclass(frozen=True)
@@ -154,20 +159,15 @@ class XDensityMatrix:
         for name, v in zip((*_POPULATIONS, "rho14", "rho23"), (*pops, rho14, rho23)):
             if not cmath.isfinite(v):
                 raise AssemblyError(f"element {name} is not finite: {v!r}")
-        dev, diags, blocks = _margins(*pops, abs(rho14), abs(rho23))
+        dev, diags, spectrum = _margins(*pops, abs(rho14), abs(rho23))
         if abs(dev) > _RAISE_TOL:
             raise AssemblyError(f"trace deviates from 1 by {dev:.3e}")
         for name, v in zip(_POPULATIONS, pops):
             if v < -_RAISE_TOL:
                 raise AssemblyError(f"population {name} is negative: {v:.3e}")
-        for name, (excess, low_eig) in zip(("outer", "inner"), blocks):
-            if excess > _RAISE_TOL:
-                raise AssemblyError(
-                    f"{name} block violates |off-diagonal|^2 <= product of populations "
-                    f"by {excess:.3e}"
-                )
-            if low_eig < -_RAISE_TOL:
-                raise AssemblyError(f"{name} block eigenvalue is negative: {low_eig:.3e}")
+        for name, low in (("outer", spectrum[2]), ("inner", spectrum[0])):
+            if low < -_EIG_TOL:
+                raise AssemblyError(f"{name} block eigenvalue is negative: {low:.3e}")
         return cls(*(float(d) for d in diags), rho14, rho23)
 
     def diagonals(self):

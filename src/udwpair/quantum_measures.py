@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector_state import XDensityMatrix, _block_eigs, _dense, _modulus
+from .detector_state import _EIG_TOL, XDensityMatrix, _block_eigs, _dense, _modulus, _spectrum
 
 __all__ = [
     "MeasureSet",
@@ -36,8 +36,7 @@ __all__ = [
     "measure_set",
 ]
 
-# Eigenvalue dust below zero tolerated by the entropy; anything lower is a bug.
-_EIG_CLAMP = 1e-10
+# A C_rec in [-1e-12, 0) counts as 0; anything lower is a bug.
 _REC_CLAMP = 1e-12
 
 
@@ -92,12 +91,6 @@ def _l1(m14, m23):
     return 2.0 * m14 + 2.0 * m23
 
 
-def _spectrum(rho11, rho22, rho33, rho44, m14, m23):
-    """Block eigenvalues (inner low, inner high, outer low, outer high),
-    elementwise over arrays, from the populations and coherence moduli."""
-    return (*_block_eigs(rho22, rho33, m23), *_block_eigs(rho11, rho44, m14))
-
-
 def spectrum_general(m: XDensityMatrix) -> Spectrum4:
     """Block eigenvalues computed the numerically careful way."""
     values = _spectrum(*m.diagonals(), _modulus(m.rho14), _modulus(m.rho23))
@@ -106,29 +99,12 @@ def spectrum_general(m: XDensityMatrix) -> Spectrum4:
 
 def _rec(diagonals, spectrum):
     """Relative entropy of coherence in bits, S(diagonal part) - S(state),
-    elementwise over arrays, before its clamp, with the eight entropy
-    arguments it came from.  Eigenvalue dust below zero counts as 0
-    (0 log 0 = 0)."""
+    elementwise over arrays, before its clamp, from the clamped populations
+    and the block spectrum.  Eigenvalue dust below zero, which
+    from_elements bounds by _EIG_TOL, counts as 0 (0 log 0 = 0)."""
     values = np.array((*diagonals, *spectrum))
     t = values * np.log2(values, out=np.zeros_like(values), where=values > 0.0)
-    rec = (((t[4] + t[5]) + t[6]) + t[7]) - (((t[0] + t[1]) + t[2]) + t[3])
-    return rec, values
-
-
-def _rec_ok(rec, values):
-    # False where _checked_rec would raise; nan fails every comparison
-    return np.all(values >= -_EIG_CLAMP, axis=0) & (rec >= -_REC_CLAMP)
-
-
-def _checked_rec(rec, values) -> float:
-    # eigenvalue dust in [-1e-10, 0) and a result in [-1e-12, 0) count as 0;
-    # anything lower is a bug
-    for v in values.tolist():
-        if v < -_EIG_CLAMP:
-            raise ValueError(f"eigenvalue {v!r} is negative beyond tolerance")
-    if rec < -_REC_CLAMP:
-        raise ValueError(f"relative entropy of coherence came out negative: {float(rec)!r}")
-    return float(np.maximum(0.0, rec))
+    return (((t[4] + t[5]) + t[6]) + t[7]) - (((t[0] + t[1]) + t[2]) + t[3])
 
 
 def coherence_rec(m: XDensityMatrix) -> float:
@@ -136,7 +112,14 @@ def coherence_rec(m: XDensityMatrix) -> float:
     S(diagonal part) - S(full state)."""
     diagonals = m.diagonals()
     spectrum = _spectrum(*diagonals, _modulus(m.rho14), _modulus(m.rho23))
-    return _checked_rec(*_rec(diagonals, spectrum))
+    # from_elements has checked the spectrum; this guards states built without it
+    low = min(spectrum)
+    if low < -_EIG_TOL:
+        raise ValueError(f"eigenvalue {float(low)!r} is negative beyond tolerance")
+    rec = _rec(diagonals, spectrum)
+    if rec < -_REC_CLAMP:
+        raise ValueError(f"relative entropy of coherence came out negative: {float(rec)!r}")
+    return float(np.maximum(0.0, rec))
 
 
 def _negativity(rho11, rho22, rho33, rho44, m14, m23):
@@ -176,14 +159,15 @@ def negativity_closed(m: XDensityMatrix) -> float:
     return float(_negativity_closed(m.rho22, m.rho33, _modulus(m.rho14)))
 
 
-def _measures(rho11, rho22, rho33, rho44, m14, m23):
+def _measures(diagonals, moduli, spectrum):
     """(ok, (c_l1, c_rec, negativity)) elementwise over arrays, from the
-    populations and coherence moduli; ok is False where coherence_rec
-    would raise."""
-    diagonals = (rho11, rho22, rho33, rho44)
-    rec, values = _rec(diagonals, _spectrum(*diagonals, m14, m23))
-    measures = (_l1(m14, m23), np.maximum(0.0, rec), _negativity(*diagonals, m14, m23))
-    return _rec_ok(rec, values), measures
+    clamped populations, coherence moduli and block spectrum that _state_ok
+    gives.  ok is False where C_rec comes out below -1e-12, where
+    coherence_rec would raise on a state that from_elements accepts; nan
+    fails it."""
+    rec = _rec(diagonals, spectrum)
+    measures = (_l1(*moduli), np.maximum(0.0, rec), _negativity(*diagonals, *moduli))
+    return rec >= -_REC_CLAMP, measures
 
 
 def measure_set(m: XDensityMatrix) -> MeasureSet:

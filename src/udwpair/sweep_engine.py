@@ -246,8 +246,8 @@ def _checked_states(p: ModelParams):
         )
         elements = _assemble(p.theta, *correlators)
         moduli = (_modulus(elements[4]), _modulus(elements[5]))
-        ok, diagonals = _state_ok(*elements[:4], *moduli)
-        measures_ok, measures = _measures(*diagonals, *moduli)
+        ok, diagonals, spectrum = _state_ok(*elements[:4], *moduli)
+        measures_ok, measures = _measures(diagonals, moduli, spectrum)
         ok &= measures_ok & _params_ok(p, correlators)
     return ok, correlators, (*diagonals, *elements[4:]), moduli, measures
 

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector_state import _appendix, _dense, _modulus
+from .detector_state import _appendix, _dense, _modulus, _spectrum
 from .field_correlators import _correlators, _oracle
-from .quantum_measures import _negativity_closed, _negativity_full, _spectrum, _spectrum_closed
+from .quantum_measures import _negativity_closed, _negativity_full, _spectrum_closed
 from .special_functions import _dawson
 from .sweep_engine import ModelParams, _batch_states, _row
 

@@ -8,9 +8,11 @@ and omega even in the delay; the public views are unchanged when
 lengths, times, switching weights and the width scale together and the
 gaps inversely, and when the couplings and switching weights trade a
 factor; over the whole finite float range a batch's pass/fail mask
-equals whether the single-point route raises; and over decades of L and
-dt every state is accepted, with trace 1 and its measures in their
-bounds.  All but the last compare exactly."""
+equals whether the single-point route raises; near the positivity edge
+that mask's one eigenvalue check and C_rec clause equal the predicate
+they replaced; and over decades of L and dt every state is accepted, with
+trace 1 and its measures in their bounds.  All but the last compare
+exactly."""
 
 import math
 import random
@@ -45,9 +47,22 @@ from udwpair import (
     spectrum_closed,
     verify,
 )
-from udwpair.detector_state import _EVEN_SIGNATURES, _appendix, _dense, _moment
+from udwpair.detector_state import (
+    _EVEN_SIGNATURES,
+    _appendix,
+    _block_eigs,
+    _dense,
+    _moment,
+    _state_ok,
+)
 from udwpair.field_correlators import _correlators, _oracle
-from udwpair.quantum_measures import _negativity_closed, _negativity_full, _spectrum_closed
+from udwpair.quantum_measures import (
+    _measures,
+    _negativity_closed,
+    _negativity_full,
+    _rec,
+    _spectrum_closed,
+)
 from udwpair.sweep_engine import ModelParams, _batch_states, _checked_states, _point, _row
 from udwpair.verify import _DECADE_EXPONENTS, _bounds, _decade_draw, _draw
 
@@ -334,6 +349,63 @@ def test_batch_mask_equals_the_single_point_route(points):
             assert not passes, points[i]
         else:
             assert passes, points[i]
+
+
+# a population: negative dust down to -2e-9, small over decades, or of
+# order one
+_POPULATION = st.one_of(
+    st.floats(-2e-9, 0.0),
+    st.floats(-12.0, -1.0).map(lambda e: 10.0**e),
+    st.floats(0.0, 1.0 / 3.0),
+)
+
+
+def _edge_modulus(d1, d2, exponent, sign):
+    # |off-diagonal| of a block at its positivity edge: |m|^2 = d1 d2 + t hi
+    # puts the low eigenvalue at -t, with t = +-10^exponent and hi = d1 + d2
+    # there; the populations count with their dust clamped
+    d1, d2 = max(0.0, d1), max(0.0, d2)
+    return math.sqrt(max(0.0, d1 * d2 + sign * 10.0**exponent * (d1 + d2)))
+
+
+@st.composite
+def _edge_state(draw):
+    """(rho11, rho22, rho33, rho44, |rho14|, |rho23|) of an X state whose
+    two blocks each sit within 1e-8 of their positivity edge: three
+    populations drawn, the fourth, at a drawn place, 1 minus their sum."""
+    populations = [draw(_POPULATION) for _ in range(3)]
+    populations.insert(draw(st.integers(0, 3)), 1.0 - math.fsum(populations))
+    rho11, rho22, rho33, rho44 = populations
+    moduli = [
+        _edge_modulus(d1, d2, draw(st.floats(-12.0, -8.0)), draw(st.sampled_from([-1.0, 1.0])))
+        for d1, d2 in ((rho11, rho44), (rho22, rho33))
+    ]
+    return (*populations, *moduli)
+
+
+@settings(_SETTINGS, max_examples=100)
+@given(st.lists(_edge_state(), min_size=1, max_size=50))
+def test_one_positivity_check_equals_the_former_predicate(states):
+    # the accept mask's state part, the state check and the C_rec clause,
+    # against the predicate it replaced, written out: trace and populations,
+    # |off-diagonal|^2 - product <= 1e-9 and low eigenvalue >= -1e-9 in
+    # each block, all eight entropy arguments >= -1e-10, C_rec >= -1e-12
+    columns = [np.array(column) for column in zip(*states)]
+    populations, moduli = columns[:4], columns[4:]
+    ok, diagonals, spectrum = _state_ok(*populations, *moduli)
+    mask = ok & _measures(diagonals, moduli, spectrum)[0]
+
+    d = [np.maximum(0.0, v) for v in populations]
+    outer = _block_eigs(d[0], d[3], moduli[0])
+    inner = _block_eigs(d[1], d[2], moduli[1])
+    former = abs(sum(populations) - 1.0) <= 1e-9
+    for v in populations:
+        former &= v >= -1e-9
+    for d1, d2, m, (low, _) in ((d[0], d[3], moduli[0], outer), (d[1], d[2], moduli[1], inner)):
+        former &= (m * m - d1 * d2 <= 1e-9) & (low >= -1e-9)
+    former &= np.all(np.array((*d, *inner, *outer)) >= -1e-10, axis=0)
+    former &= _rec(d, (*inner, *outer)) >= -1e-12
+    assert mask.tolist() == former.tolist()
 
 
 # a point of _POINT's domain with L and dt taken over decades instead:

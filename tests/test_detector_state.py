@@ -152,6 +152,9 @@ def test_from_elements_block_positivity():
         XDensityMatrix.from_elements(0.5, 0.0, 0.0, 0.5, 0.6, 0.0)
     with pytest.raises(AssemblyError):
         XDensityMatrix.from_elements(0.1, 0.4, 0.4, 0.1, 0.0, 0.5)
+    # a low eigenvalue of -2.5e-10 is past the dust the entropy tolerates
+    with pytest.raises(AssemblyError, match="^outer block eigenvalue is negative: -2.500e-10$"):
+        XDensityMatrix.from_elements(0.5, 0.0, 0.0, 0.5, 0.5 + 2.5e-10, 0.0)
 
 
 def test_as_matrix_is_hermitian():

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from udwpair import (
@@ -15,6 +16,8 @@ from udwpair import (
     spectrum_closed,
     spectrum_general,
 )
+from udwpair.detector_state import _state_ok
+from udwpair.quantum_measures import _measures
 
 
 def _states(n, seed):
@@ -76,8 +79,20 @@ def test_rec_nonnegative_on_random_states():
 
 def test_rec_rejects_broken_spectrum():
     broken = XDensityMatrix(0.5, -1e-5, 1e-5, 0.5, 0j, 0j)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="negative beyond tolerance"):
         coherence_rec(broken)
+    # accepted, with an outer low eigenvalue of -5e-11, but its entropy
+    # difference is -9.24e-10: the one clause of the batch mask that the
+    # state check does not imply
+    elements = (0.0, 0.5, 0.5 - 1e-6, 1e-6, math.sqrt(5e-17), 0.0)
+    dusty = XDensityMatrix.from_elements(*elements)
+    with pytest.raises(ValueError, match="came out negative"):
+        coherence_rec(dusty)
+    columns = [np.array([v]) for v in elements]
+    ok, diagonals, spectrum = _state_ok(*columns)
+    assert ok.tolist() == [True]
+    assert spectrum[2][0] == pytest.approx(-5e-11, rel=1e-6)
+    assert _measures(diagonals, columns[4:], spectrum)[0].tolist() == [False]
 
 
 def test_negativity_bell_state():

@@ -1,5 +1,6 @@
 import io
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from udwpair import (
     evaluate_point,
     figure_preset,
     run_sweep,
+    sweep_engine,
 )
 
 
@@ -93,6 +95,54 @@ def test_failed_grid_point_names_the_value():
     spec = SweepSpec("lambda", start=-1.0, stop=1.0, steps=5)
     with pytest.raises(SweepError, match="lambda=-1.0"):
         run_sweep(spec)
+
+
+def test_measures_ok_enters_the_mask_and_a_batch_only_failure_is_named(monkeypatch):
+    # a row that only the measures reject, and that its point alone passes:
+    # the mask must drop it, and the sweep must name it as failing in its
+    # batch only
+    measures = sweep_engine._measures
+
+    def failing_row_1(*args):
+        ok, values = measures(*args)
+        return ok & (np.arange(ok.size) != 1), values
+
+    monkeypatch.setattr(sweep_engine, "_measures", failing_row_1)
+    spec = SweepSpec("l", start=1.0, stop=3.0, steps=5)
+    fixed = {k: np.full(5, v) for k, v in vars(spec.fixed).items()}
+    p = ModelParams(**(fixed | {"separation": np.array([1.0, 1.5, 2.0, 2.5, 3.0])}))
+    assert sweep_engine._checked_states(p)[0].tolist() == [True, False, True, True, True]
+    with pytest.raises(
+        SweepError,
+        match=r"^sweep failed at l=1\.5: the point fails an invariant check only inside its batch$",
+    ):
+        run_sweep(spec)
+
+
+_REFERENCE = os.path.join(
+    os.path.dirname(__file__), os.pardir, "perfbench", "reference", "figures.npz"
+)
+
+
+def test_preset_csvs_match_the_stored_reference():
+    # every preset curve through run_sweep and emit_csv, against the
+    # reference values that the benchmark checks each figures run by
+    with np.load(_REFERENCE, allow_pickle=False) as data:
+        reference = {key: data[key] for key in data.files}
+    labels = []
+    for preset in ("fig1", "fig2", "fig3-top", "fig3-bottom", "fig4"):
+        for spec in figure_preset(preset):
+            sink = io.StringIO()
+            emit_csv(run_sweep(spec), sink)
+            header, *lines = sink.getvalue().splitlines()
+            assert header == str(reference["header"])
+            values = np.array([[float(v) for v in line.split(",")] for line in lines])
+            ref = reference[spec.label]
+            assert values.shape == ref.shape, spec.label
+            worst = np.max(np.abs(values - ref))
+            assert worst <= 1e-12, f"{spec.label}: {worst:.3e}"
+            labels.append(spec.label)
+    assert sorted(labels) == sorted(k for k in reference if k != "header")
 
 
 def test_figure_presets_shape():
