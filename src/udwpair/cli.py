@@ -7,9 +7,10 @@ Subcommands:
 * figures  run a named preset bundle of sweeps, one CSV per curve
 * verify   run the self-check battery
 
-Exit codes: 0 success, 1 runtime failure (state assembly broke, file
-could not be written, a self-check failed or could not run), 2 usage
-error (bad flags, bad config, bad sweep bounds).
+Exit codes: 0 success; 1 runtime failure (a state could not be built, also
+at a swept grid value outside its knob's range, which the error names; a
+file could not be written; a self-check failed or could not run); 2 usage
+error (bad flags, bad config, bad sweep bounds, a resolved point out of range).
 
 Parameter resolution per knob: specific flag, then generic flag, then
 config file entry (keys named like the flags), then the built-in default.
@@ -172,7 +173,7 @@ def cmd_verify(seed: int = 0, points: int | None = None) -> int:
         draws = "the default draw counts" if points is None else f"{points} draws per check"
         print(f"error: verify with {draws} does not fit in memory", file=sys.stderr)
         return 1
-    except (AssemblyError, QuadratureError, ValueError) as exc:
+    except (AssemblyError, QuadratureError, SweepError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     ok = True

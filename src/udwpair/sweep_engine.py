@@ -97,7 +97,7 @@ VARY_CHOICES = tuple(dict.fromkeys(vary for vary, *_ in FIGURE_PRESETS.values())
 
 
 class SweepError(RuntimeError):
-    """A grid point failed to evaluate; the message names the point."""
+    """A point of a batch failed to evaluate; the message names the point."""
 
 
 @dataclass(frozen=True)
@@ -202,20 +202,6 @@ def _point(p: ModelParams):
         return c, state, measure_set(state)
 
 
-def _failure(ok, p: ModelParams):
-    """(index, exception) of the first point of the batch p that fails a
-    check, or None.  That point is rerun alone, so the exception is the one
-    a single evaluation of it raises."""
-    if ok.all():
-        return None
-    index = int(np.argmin(ok))
-    try:
-        _point(_row(p, index))
-    except (AssemblyError, ValueError) as exc:
-        return index, exc
-    return index, AssemblyError("the point fails an invariant check only inside its batch")
-
-
 def _row(p: ModelParams, i: int) -> ModelParams:
     # point i of a batch, its knobs Python floats
     return ModelParams(*(v[i].item() for v in vars(p).values()))
@@ -223,22 +209,22 @@ def _row(p: ModelParams, i: int) -> ModelParams:
 
 def _params_ok(p: ModelParams, correlators):
     # False where detector_pair's containers, CorrelatorSet or InitialState
-    # would raise; nan fails every comparison
+    # would raise and _state_ok would not: correlators that are not finite
+    # spoil every population, and f <= 1.  nan fails every comparison
     f_a, f_b = correlators[:2]
-    finite = np.isfinite([*vars(p).values(), *correlators]).all(axis=0)
+    finite = np.isfinite(list(vars(p).values())).all(axis=0)
     signs = (p.lambda_a >= 0.0) & (p.lambda_b >= 0.0) & (p.eta_a > 0.0) & (p.eta_b > 0.0)
     signs &= (p.gap_a >= 0.0) & (p.gap_b >= 0.0) & (p.separation >= 0.0)
-    ranges = (p.theta >= 0.0) & (p.theta <= math.pi / 2.0)
-    ranges &= (f_a > 0.0) & (f_a <= 1.0) & (f_b > 0.0) & (f_b <= 1.0)
+    ranges = (p.theta >= 0.0) & (p.theta <= math.pi / 2.0) & (f_a > 0.0) & (f_b > 0.0)
     return finite & signs & ranges
 
 
 def _checked_states(p: ModelParams):
-    """(ok, correlators, state, moduli, measures) of a batch of points: the
-    one checked pass that sweeps and verify share.  The state's populations
-    have their dust clamped, moduli are |rho14| and |rho23|, and measures
-    are (c_l1, c_rec, negativity).  ok is the whole accept mask: False
-    where a point fails a check of the scalar route."""
+    """(ok, correlators, state, moduli, spectrum, measures) of a batch of
+    points.  The populations have their dust clamped, moduli are |rho14| and
+    |rho23|, spectrum is the block spectrum in _spectrum's order and measures
+    are (c_l1, c_rec, negativity).  ok is the whole accept mask: False where
+    a point fails a check of the scalar route."""
     with np.errstate(all="ignore"):  # as in _point
         correlators = (
             *_correlators(p.lambda_a * p.eta_a, p.lambda_b * p.eta_b, p.separation, p.delay),
@@ -249,16 +235,21 @@ def _checked_states(p: ModelParams):
         ok, diagonals, spectrum = _state_ok(*elements[:4], *moduli)
         measures_ok, measures = _measures(diagonals, moduli, spectrum)
         ok &= measures_ok & _params_ok(p, correlators)
-    return ok, correlators, (*diagonals, *elements[4:]), moduli, measures
+    return ok, correlators, (*diagonals, *elements[4:]), moduli, spectrum, measures
 
 
-def _batch_states(p: ModelParams):
-    """(correlators, state, moduli, measures) of a batch, as _checked_states
-    gives them; raises the error of its first failing point."""
+def _batch_states(p: ModelParams, name):
+    """The one checked pass that sweeps and verify share: _checked_states
+    without ok.  Raises SweepError(f"{name(i)}: {error}") for the first point
+    i that fails, with the error that the point raises when rerun alone."""
     ok, *batch = _checked_states(p)
-    found = _failure(ok, p)
-    if found is not None:
-        raise found[1]
+    if not ok.all():
+        index = int(np.argmin(ok))
+        try:
+            _point(_row(p, index))
+        except (AssemblyError, ValueError) as exc:
+            raise SweepError(f"{name(index)}: {exc}") from exc
+        raise SweepError(f"{name(index)}: the point fails an invariant check only inside its batch")
     return tuple(batch)
 
 
@@ -281,11 +272,9 @@ def run_sweep(spec: SweepSpec) -> list:
     values[-1] = spec.stop  # exact endpoint regardless of rounding
     fixed = {k: np.full(spec.steps, v, dtype=float) for k, v in vars(spec.fixed).items()}
     p = ModelParams(**(fixed | dict.fromkeys(KNOBS[spec.vary][0], values)))
-    ok, correlators, state, moduli, measures = _checked_states(p)
-    found = _failure(ok, p)
-    if found is not None:
-        index, exc = found
-        raise SweepError(f"sweep failed at {spec.vary}={float(values[index])!r}: {exc}") from exc
+    correlators, state, moduli, _, measures = _batch_states(
+        p, lambda i: f"sweep failed at {spec.vary}={float(values[i])!r}"
+    )
     gamma = correlators[4] + correlators[5]  # as CorrelatorSet.gamma
     columns = (values, *correlators[:4], gamma, *state[:4], *moduli, *measures)
     return list(map(SweepRow._make, np.column_stack(columns).tolist()))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector_state import _appendix, _dense, _modulus, _spectrum
+from .detector_state import _appendix, _dense, _modulus
 from .field_correlators import _correlators, _oracle
 from .quantum_measures import _negativity_closed, _negativity_full, _spectrum_closed
 from .special_functions import _dawson
@@ -191,10 +191,10 @@ def _check_assembly(theta, correlators, state) -> CheckResult:
     )
 
 
-def _check_spectrum(state, moduli) -> CheckResult:
-    general = _spectrum(*state[:4], *moduli)
+def _check_spectrum(state, moduli, spectrum) -> CheckResult:
+    # the closed form against the block spectrum that the pass checked
     closed = _spectrum_closed(*state[:4], *moduli)
-    worst = _worst([np.abs(a - b) for a, b in zip(closed, general)])
+    worst = _worst([np.abs(a - b) for a, b in zip(closed, spectrum)])
     return CheckResult(
         "spectrum-dual-route",
         worst,
@@ -244,15 +244,16 @@ def run_all(seed: int = 0, points: int | None = None) -> list:
     # the same points whatever they are
     decades = random.Random(f"decades-{seed}")
     correlators = _check_correlators(rng, decades, points or 200)
-    # the four state checks share one draw, with random time origins, and
-    # its one checked pass raises the error of its first failing point
+    # the four state checks share one draw, with random time origins
     p = _draw(rng, points or 2000, tau_span=5.0)
-    kernel, state, moduli, measures = _batch_states(p)
+    kernel, state, moduli, spectrum, measures = _batch_states(
+        p, lambda i: f"verify failed at draw {i} of seed {seed}"
+    )
     return [
         _check_dawson(),
         correlators,
         _check_assembly(p.theta, kernel, state),
-        _check_spectrum(state, moduli),
+        _check_spectrum(state, moduli, spectrum),
         _check_physicality(state),
         _check_negativity(state, moduli, measures),
     ]

@@ -45,6 +45,6 @@ def draw_grid():
 
     # one column draw: bit for bit the points of 10^4 random_model_params calls
     batch = _draw(random.Random(20260815), 10_000)
-    state = _batch_states(batch)[1]
+    state = _batch_states(batch, lambda i: f"draw {i} of the grid")[1]
     rows = zip(*(column.tolist() for column in state))
     return [(_row(batch, i), XDensityMatrix(*row)) for i, row in enumerate(rows)]

@@ -8,7 +8,8 @@ and omega even in the delay; the public views are unchanged when
 lengths, times, switching weights and the width scale together and the
 gaps inversely, and when the couplings and switching weights trade a
 factor; over the whole finite float range a batch's pass/fail mask
-equals whether the single-point route raises; near the positivity edge
+equals whether the single-point route raises, and the state check alone
+rejects the points whose correlators are not finite; near the positivity edge
 that mask's one eigenvalue check and C_rec clause equal the predicate
 they replaced; and over decades of L and dt every state is accepted, with
 trace 1 and its measures in their bounds.  All but the last compare
@@ -50,12 +51,14 @@ from udwpair import (
 from udwpair.detector_state import (
     _EVEN_SIGNATURES,
     _appendix,
+    _assemble,
     _block_eigs,
     _dense,
+    _modulus,
     _moment,
     _state_ok,
 )
-from udwpair.field_correlators import _correlators, _oracle
+from udwpair.field_correlators import _correlators, _oracle, _phases
 from udwpair.quantum_measures import (
     _measures,
     _negativity_closed,
@@ -123,9 +126,9 @@ def _params(points):
 
 
 def _batch(points):
-    # (p, correlators, state, moduli, measures) of a batch of points
+    # (p, correlators, state, moduli, spectrum, measures) of a batch of points
     p = _params(points)
-    return p, *_batch_states(p)
+    return p, *_batch_states(p, lambda i: f"point {i} of the batch")
 
 
 @_SETTINGS
@@ -157,7 +160,7 @@ def test_moment_and_appendix_kernels_equal_their_scalar_views(points):
 @_SETTINGS
 @given(st.lists(_POINT, min_size=1, max_size=12))
 def test_measure_oracle_kernels_equal_their_scalar_views(points):
-    _, _, state, moduli, _ = _batch(points)
+    _, _, state, moduli, *_ = _batch(points)
     spectra = _spectrum_closed(*state[:4], *moduli)
     dense = _dense(*state)
     full = _negativity_full(*state)
@@ -224,7 +227,9 @@ def test_state_checks_take_one_draw_after_the_correlator_draws(seed, n):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(verify, "_check_correlators", correlators_then_state)
-        patch.setattr(verify, "_batch_states", lambda p: batches.append(p) or batch_states(p))
+        patch.setattr(
+            verify, "_batch_states", lambda p, name: batches.append(p) or batch_states(p, name)
+        )
         verify.run_all(seed=seed, points=n)
     assert len(after) == len(batches) == 1
     rng = random.Random()
@@ -334,11 +339,25 @@ _EDGES = [
     for knob in vars(ModelParams())
     for edge in (0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308)
 ]
+# the default point with finite knobs whose correlators are not finite:
+# kappa = -inf, omega = nan, phase_a = inf, phase_b = inf, and g = inf with
+# f_a = 0 and kappa = -inf
+_NOT_FINITE = [
+    astuple(replace(ModelParams(), **knobs))
+    for knobs in (
+        {"lambda_a": 1e155, "lambda_b": 1e155},
+        {"separation": 0.0, "delay": 1e103},
+        {"tau_a0": 1e308, "gap_a": 4.0},
+        {"tau_a0": 1e308, "delay": 1e308, "gap_b": 4.0},
+        {"lambda_a": 1e200, "eta_a": 1e200},
+    )
+]
 
 
 @settings(_SETTINGS, max_examples=100)
 @given(st.lists(_WILD_POINT, min_size=1, max_size=20))
 @example(_EDGES)
+@example(_NOT_FINITE)
 def test_batch_mask_equals_the_single_point_route(points):
     # the one accept mask that run_sweep and _batch_states read
     p = _params(points)
@@ -349,6 +368,22 @@ def test_batch_mask_equals_the_single_point_route(points):
             assert not passes, points[i]
         else:
             assert passes, points[i]
+
+
+def test_the_state_check_alone_rejects_correlators_that_are_not_finite():
+    # the accept mask tests only the knobs for finiteness: a kappa, omega
+    # or phase that is not finite reaches every population through a
+    # product, and the state check rejects it, as _checked_states runs it
+    p = _params(_NOT_FINITE)
+    with np.errstate(all="ignore"):
+        correlators = (
+            *_correlators(p.lambda_a * p.eta_a, p.lambda_b * p.eta_b, p.separation, p.delay),
+            *_phases(p.gap_a, p.gap_b, p.tau_a0, p.delay),
+        )
+        elements = _assemble(p.theta, *correlators)
+        ok = _state_ok(*elements[:4], _modulus(elements[4]), _modulus(elements[5]))[0]
+    assert not np.isfinite(correlators).all(axis=0).any()
+    assert not ok.any()
 
 
 # a population: negative dust down to -2e-9, small over decades, or of
@@ -425,7 +460,7 @@ _EPS = np.finfo(float).eps
 def test_states_and_measures_are_physical_over_the_decade_domain(points):
     # trace 1, C_l1 <= 1 (the X-state bound), C_rec in [0, 2] bits and
     # negativity in [0, 1/2], each to a few ulps, on every accepted row
-    ok, _, state, _, measures = _checked_states(_params(points))
+    ok, _, state, _, _, measures = _checked_states(_params(points))
     assert ok.all()
     for row in zip(*(v.tolist() for v in (*state[:4], *measures))):
         *populations, c_l1, c_rec, negativity = row

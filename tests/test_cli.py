@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import udwpair
@@ -12,10 +13,12 @@ from udwpair import (
     AssemblyError,
     ModelParams,
     QuadratureError,
+    SweepError,
     SweepSpec,
     evaluate_point,
     figure_preset,
     run_sweep,
+    sweep_engine,
     verify,
 )
 from udwpair.cli import main
@@ -332,11 +335,16 @@ def _raising(exc):
 @pytest.mark.parametrize(
     "kernel, exc",
     [
-        # what the replay of a batch raises, e.g. for f = 0
+        # the errors of a single point's evaluation, e.g. for f = 0, which
+        # the pass wraps in a SweepError that names the draw
         ("_batch_states", ValueError("CorrelatorSet.f_a must lie in (0, 1], got 0.0")),
         ("_batch_states", AssemblyError("trace deviates from 1 by 1.000e-06")),
         ("_oracle", QuadratureError("commutator integral: estimated error 1.000e-08")),
         ("_draw", MemoryError("Unable to allocate 745. GiB")),
+        (
+            "_batch_states",
+            SweepError("verify failed at draw 3 of seed 0: element rho11 is not finite: nan"),
+        ),
     ],
 )
 def test_verify_runtime_failures_exit_1(monkeypatch, capsys, kernel, exc):
@@ -349,6 +357,25 @@ def test_verify_runtime_failures_exit_1(monkeypatch, capsys, kernel, exc):
         assert captured.err == "error: verify with 5 draws per check does not fit in memory\n"
     else:
         assert captured.err == f"error: {exc}\n"
+
+
+def test_verify_names_the_draw_that_fails(monkeypatch, capsys):
+    # a row that only the pass's measures reject, and that its point alone
+    # passes: the battery cannot run, and the error names the draw
+    measures = sweep_engine._measures
+
+    def failing_row_1(*args):
+        ok, values = measures(*args)
+        return ok & (np.arange(ok.size) != 1), values
+
+    monkeypatch.setattr(sweep_engine, "_measures", failing_row_1)
+    assert main(["verify", "--points", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: verify failed at draw 1 of seed 0: "
+        "the point fails an invariant check only inside its batch\n"
+    )
 
 
 def test_point_accepts_a_large_time_origin(capsys):

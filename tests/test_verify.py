@@ -38,28 +38,43 @@ def _plant_in_last(kernel):
 
 
 def _plant_in_rho22(batch_states):
-    def planted(p):
-        correlators, state, *rest = batch_states(p)
+    def planted(p, name):
+        correlators, state, *rest = batch_states(p, name)
         return correlators, (state[0], _nan_at(state[1]), *state[2:]), *rest
+
+    return planted
+
+
+def _plant_in_spectrum(batch_states):
+    # in the pass's block spectrum, the one the state check and the
+    # entropy read
+    def planted(p, name):
+        *head, spectrum, measures = batch_states(p, name)
+        return *head, (*spectrum[:3], _nan_at(spectrum[3])), measures
 
     return planted
 
 
 def _plant_in_negativity(batch_states):
     # in the pass's negativity column, the one that sweeps print
-    def planted(p):
-        *head, measures = batch_states(p)
+    def planted(p, name):
+        *head, measures = batch_states(p, name)
         return *head, (*measures[:2], _nan_at(measures[2]))
 
     return planted
 
 
 def _states():
-    # (theta, correlators, state, moduli, measures) of 20 draws with random
-    # time origins, as run_all draws them, through verify's _batch_states,
-    # so that a nan planted there reaches the check
+    # (theta, correlators, state, moduli, spectrum, measures) of 20 draws
+    # with random time origins, as run_all draws them, through verify's
+    # _batch_states, so that a nan planted there reaches the check
     p = verify._draw(random.Random(0), 20, tau_span=5.0)
-    return p.theta, *verify._batch_states(p)
+    return p.theta, *verify._batch_states(p, lambda i: f"draw {i}")
+
+
+def _negativity_on_the_pass():
+    _, _, state, moduli, _, measures = _states()
+    return verify._check_negativity(state, moduli, measures)
 
 
 # each sampled check run alone on 20 draws, so that a nan planted for one
@@ -70,9 +85,9 @@ _CHECKS = {
         random.Random(0), random.Random(1), 20
     ),
     "assembly-dual-route": lambda: verify._check_assembly(*_states()[:3]),
-    "spectrum-dual-route": lambda: verify._check_spectrum(*_states()[2:4]),
+    "spectrum-dual-route": lambda: verify._check_spectrum(*_states()[2:5]),
     "physicality": lambda: verify._check_physicality(_states()[2]),
-    "negativity-dual-route": lambda: verify._check_negativity(*_states()[2:]),
+    "negativity-dual-route": _negativity_on_the_pass,
 }
 
 
@@ -82,7 +97,7 @@ _CHECKS = {
         ("dawson-reference", "_dawson", _plant_in_reflection),
         ("correlators-vs-quadrature", "_correlators", _plant_in_last),
         ("assembly-dual-route", "_batch_states", _plant_in_rho22),
-        ("spectrum-dual-route", "_spectrum", _plant_in_last),
+        ("spectrum-dual-route", "_batch_states", _plant_in_spectrum),
         ("physicality", "_batch_states", _plant_in_rho22),
         ("negativity-dual-route", "_batch_states", _plant_in_negativity),
     ],
