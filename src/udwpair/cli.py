@@ -173,7 +173,7 @@ def cmd_verify(seed: int = 0, points: int | None = None) -> int:
         draws = "the default draw counts" if points is None else f"{points} draws per check"
         print(f"error: verify with {draws} does not fit in memory", file=sys.stderr)
         return 1
-    except (AssemblyError, QuadratureError, SweepError, ValueError) as exc:
+    except (QuadratureError, SweepError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     ok = True

@@ -21,7 +21,7 @@ from udwpair import (
     sweep_engine,
     verify,
 )
-from udwpair.cli import main
+from udwpair.cli import cmd_verify, main
 from udwpair.sweep_engine import FIGURE_PRESETS
 
 _SWEEP = ["sweep", "--vary", "dtau", "--from", "0", "--to", "1", "--steps", "3"]
@@ -335,10 +335,6 @@ def _raising(exc):
 @pytest.mark.parametrize(
     "kernel, exc",
     [
-        # the errors of a single point's evaluation, e.g. for f = 0, which
-        # the pass wraps in a SweepError that names the draw
-        ("_batch_states", ValueError("CorrelatorSet.f_a must lie in (0, 1], got 0.0")),
-        ("_batch_states", AssemblyError("trace deviates from 1 by 1.000e-06")),
         ("_oracle", QuadratureError("commutator integral: estimated error 1.000e-08")),
         ("_draw", MemoryError("Unable to allocate 745. GiB")),
         (
@@ -359,9 +355,8 @@ def test_verify_runtime_failures_exit_1(monkeypatch, capsys, kernel, exc):
         assert captured.err == f"error: {exc}\n"
 
 
-def test_verify_names_the_draw_that_fails(monkeypatch, capsys):
-    # a row that only the pass's measures reject, and that its point alone
-    # passes: the battery cannot run, and the error names the draw
+def _reject_row_1(monkeypatch):
+    # the pass's measures reject row 1 of every batch
     measures = sweep_engine._measures
 
     def failing_row_1(*args):
@@ -369,6 +364,12 @@ def test_verify_names_the_draw_that_fails(monkeypatch, capsys):
         return ok & (np.arange(ok.size) != 1), values
 
     monkeypatch.setattr(sweep_engine, "_measures", failing_row_1)
+
+
+def test_verify_names_the_draw_that_fails(monkeypatch, capsys):
+    # a row that only the pass's measures reject, and that its point alone
+    # passes: the battery cannot run, and the error names the draw
+    _reject_row_1(monkeypatch)
     assert main(["verify", "--points", "5"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -376,6 +377,27 @@ def test_verify_names_the_draw_that_fails(monkeypatch, capsys):
         "error: verify failed at draw 1 of seed 0: "
         "the point fails an invariant check only inside its batch\n"
     )
+
+
+def test_verify_names_the_draw_whose_point_fails_to_assemble(monkeypatch, capsys):
+    # the rerun point raises the assembly error, which reaches the command
+    # inside the SweepError that names the draw
+    _reject_row_1(monkeypatch)
+    exc = AssemblyError("trace deviates from 1 by 1.000e-06")
+    monkeypatch.setattr(sweep_engine, "assemble_main", _raising(exc))
+    assert main(["verify", "--points", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: verify failed at draw 1 of seed 0: {exc}\n"
+
+
+def test_verify_without_draws_exits_1(capsys):
+    # main rejects --points 0 as a usage error; run_all's own ValueError is
+    # a runtime failure of the command
+    assert cmd_verify(points=0) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: points must be at least 1, got 0\n"
 
 
 def test_point_accepts_a_large_time_origin(capsys):

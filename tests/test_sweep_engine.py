@@ -5,11 +5,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import Phase, example, given, settings
+from hypothesis import strategies as st
 
 from udwpair import (
     CSV_HEADER,
     ModelParams,
     SweepError,
+    SweepRow,
     SweepSpec,
     VARY_CHOICES,
     detector_pair,
@@ -124,17 +127,35 @@ _REFERENCE = os.path.join(
 )
 
 
+# The per-row format that emit_csv's array kernel replaced: the reference
+# its text must equal byte for byte.
+_ORACLE_ROW = ",".join(["%.17g"] * len(SweepRow._fields))
+
+
+def _oracle_csv(rows) -> str:
+    return "\n".join([CSV_HEADER, *(_ORACLE_ROW % tuple(row) for row in rows)]) + "\n"
+
+
+def _emitted(rows) -> str:
+    sink = io.StringIO()
+    size = emit_csv(rows, sink)
+    assert size == len(sink.getvalue())
+    return sink.getvalue()
+
+
 def test_preset_csvs_match_the_stored_reference():
     # every preset curve through run_sweep and emit_csv, against the
-    # reference values that the benchmark checks each figures run by
+    # reference values that the benchmark checks each figures run by, and
+    # against the per-row format
     with np.load(_REFERENCE, allow_pickle=False) as data:
         reference = {key: data[key] for key in data.files}
     labels = []
     for preset in ("fig1", "fig2", "fig3-top", "fig3-bottom", "fig4"):
         for spec in figure_preset(preset):
-            sink = io.StringIO()
-            emit_csv(run_sweep(spec), sink)
-            header, *lines = sink.getvalue().splitlines()
+            rows = run_sweep(spec)
+            text = _emitted(rows)
+            assert text == _oracle_csv(rows), spec.label
+            header, *lines = text.splitlines()
             assert header == str(reference["header"])
             values = np.array([[float(v) for v in line.split(",")] for line in lines])
             ref = reference[spec.label]
@@ -204,9 +225,59 @@ def test_csv_header_and_roundtrip():
         assert tuple(parsed) == row  # 17 digits round-trip losslessly
 
 
+def _row(*values) -> list:
+    # a whole CSV row: the values, then zeros
+    return [*values, *[0.0] * (len(SweepRow._fields) - len(values))]
+
+
+def _either_side(x) -> tuple:
+    return math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    phases=[Phase.explicit, Phase.generate],
+)
+@given(
+    st.lists(
+        st.lists(st.floats(), min_size=len(SweepRow._fields), max_size=len(SweepRow._fields)),
+        min_size=1,
+        max_size=3,
+    )
+)
+@example([_row(0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308)])
+@example([_row(*_either_side(1e-280), *_either_side(1e280), *_either_side(-1e-280))])
+# the %g switches to and from e notation, and a carry into an 18th digit
+@example([_row(9.9999999999999995e-05, 1e-4, 1e16, 1e17, 99999999999999999.0)])
+# exact ties of the 17th digit, which %g rounds half to even, and near ties
+# within 1e-15 of one, closer than the double-double product resolves
+@example([_row(1234567890123456.75, -1234567890123456.75, 1234567890123456.25, -1234567890123456.25)])
+@example([_row(9.168015998995436e38, 6.742080897255841e41, 2.2422607587866907e-07, 4.974148370910348e-09)])
+# a failing property makes Hypothesis import libcst, which warns
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+def test_csv_equals_the_per_row_format(rows):
+    # nan, infinities and subnormals included: the kernel leaves what it
+    # cannot certify to '%.17g'
+    assert _emitted(rows) == _oracle_csv(rows)
+
+
+def test_csv_equals_the_per_row_format_across_blocks():
+    # two blocks and one row more, so the kernel's block seams are crossed
+    spec = SweepSpec("dtau", start=-10.0, stop=10.0, steps=2 * sweep_engine._CSV_BLOCK_ROWS + 1)
+    rows = run_sweep(spec)
+    assert _emitted(rows) == _oracle_csv(rows)
+
+
 def test_csv_requires_rows():
     with pytest.raises(ValueError):
         emit_csv([], io.StringIO())
+    row = _row()
+    for rows in ([row[:-1]], [row + [0.0]], [row, row[:-1] + [0.0, 0.0]]):
+        with pytest.raises(ValueError, match=r"^each row must have 15 fields$"):
+            emit_csv(rows, io.StringIO())
 
 
 def test_csv_is_deterministic():
