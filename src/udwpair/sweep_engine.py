@@ -298,13 +298,12 @@ def figure_preset(which: str) -> list:
 # below finds the same digits for a block of values in numpy, from a
 # double-double product (Dekker, Numer. Math. 18, 1971), and lays them out
 # by the %g rules, so that its text is byte for byte that of '%.17g'.  A
-# value whose digits it cannot certify keeps the '%.17g' route.
+# value whose digits it cannot certify is written by '%.17g' instead.
 
 _CSV_BLOCK_ROWS = 128  # rows per kernel pass: bounds its transient arrays
 _K_MAX = 280  # the kernel's decimal exponents k, |k| <= 280
 _SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split of a double into halves
 _TIE = 1e-9  # a digit that rounds this close to a tie is left to '%.17g'
-_SPELLED = 1  # the byte that stands in the kernel's text for a value left to '%.17g'
 
 
 def _words(texts, width: int):
@@ -439,13 +438,13 @@ def _frames(digits):
     return out
 
 
-def _layout(x):
-    """(text, spelled) of a flat block of values: the kernel's NUL-padded
-    text, with the byte _SPELLED in place of each value that it leaves to
-    '%.17g', and where those values are."""
+def _format_block(x) -> str:
+    """'%.17g' % v of every value v of a flat block of whole rows, each
+    followed by its separator: "," within a row and "\n" at its end."""
     tables = _csv_tables()
     row, digits, exact = _decimal(x)
-    # 0 and the values left to '%.17g' take k = 0 and print as 0
+    # 0 and the values left to '%.17g' take k = 0 and print as 0, so that
+    # no exponent follows the text written over the latter
     row[~exact] = _K_MAX
     digits[~exact] = 0
     out = _frames(digits)
@@ -459,21 +458,10 @@ def _layout(x):
     mark = row + (2 * _K_MAX + 1) * ((tail != 0) + 2 * np.signbit(x))
     out[:, :3] |= np.take(tables.marks, mark, axis=0)
     out[:, 5] = tables.exps[row] | tables.seps[: x.size]
+    # '%.17g' text, at most 24 bytes, fills the two frames it replaces
     spelled = ~exact & (x != 0.0)
-    out[spelled, :5] = 0
-    out.view(np.uint8)[spelled, 0] = _SPELLED
-    return out.tobytes(), spelled
-
-
-def _format_block(x) -> str:
-    """'%.17g' % v of every value v of a flat block of whole rows, each
-    followed by its separator: "," within a row and "\n" at its end."""
-    text, spelled = _layout(x)
-    text = text.translate(None, b"\0").decode("ascii")
-    if not spelled.any():
-        return text
-    parts = text.split(chr(_SPELLED))
-    return "".join(chain.from_iterable(zip(parts, ["%.17g" % v for v in x[spelled].tolist()] + [""])))
+    out[spelled, :5] = _words(["%.17g" % v for v in x[spelled].tolist()], 10).view(np.uint64)
+    return out.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def emit_csv(rows, sink) -> int:
@@ -484,7 +472,8 @@ def emit_csv(rows, sink) -> int:
     if not rows:
         raise ValueError("no rows to emit")
     width = len(SweepRow._fields)
-    if set(map(len, rows)) != {width}:
+    # length_hint is 0 for an item without a length, such as a bare float
+    if set(map(operator.length_hint, rows)) != {width}:
         raise ValueError(f"each row must have {width} fields")
     parts = [CSV_HEADER + "\n"]
     for i in range(0, len(rows), _CSV_BLOCK_ROWS):

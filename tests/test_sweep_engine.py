@@ -266,16 +266,25 @@ def test_csv_equals_the_per_row_format(rows):
 
 def test_csv_equals_the_per_row_format_across_blocks():
     # two blocks and one row more, so the kernel's block seams are crossed
-    spec = SweepSpec("dtau", start=-10.0, stop=10.0, steps=2 * sweep_engine._CSV_BLOCK_ROWS + 1)
-    rows = run_sweep(spec)
+    steps = 2 * sweep_engine._CSV_BLOCK_ROWS + 1
+    rows = run_sweep(SweepSpec("dtau", start=-10.0, stop=10.0, steps=steps))
     assert _emitted(rows) == _oracle_csv(rows)
+    # one value per row that the kernel leaves to '%.17g', moving from
+    # column to column, among values that it writes itself
+    dense = []
+    for i in range(steps):
+        row = [(i + 1) / 7.0 * 10.0 ** (j - 7) for j in range(len(SweepRow._fields))]
+        spelled = (math.nan, math.inf, -math.inf, 5e-324, 1e300 * (i + 1), 9.168015998995436e38)
+        row[i % len(row)] = spelled[i % len(spelled)]
+        dense.append(row)
+    assert _emitted(dense) == _oracle_csv(dense)
 
 
 def test_csv_requires_rows():
     with pytest.raises(ValueError):
         emit_csv([], io.StringIO())
     row = _row()
-    for rows in ([row[:-1]], [row + [0.0]], [row, row[:-1] + [0.0, 0.0]]):
+    for rows in ([row[:-1]], [row + [0.0]], [row, row[:-1] + [0.0, 0.0]], row, [None]):
         with pytest.raises(ValueError, match=r"^each row must have 15 fields$"):
             emit_csv(rows, io.StringIO())
 
