@@ -13,8 +13,9 @@ presets are defined.
 import functools
 import math
 import operator
+import struct
 from dataclasses import astuple, dataclass
-from itertools import chain
+from itertools import starmap
 from typing import NamedTuple
 
 import numpy as np
@@ -180,6 +181,7 @@ class SweepRow(NamedTuple):
 
 
 CSV_HEADER = ",".join(("vary", *SweepRow._fields[1:]))
+_ROW = struct.Struct(f"{len(SweepRow._fields)}d")  # a row's layout from the pass to the CSV
 
 
 def detector_pair(p: ModelParams):
@@ -279,7 +281,7 @@ def run_sweep(spec: SweepSpec) -> list:
     )
     gamma = correlators[4] + correlators[5]  # as CorrelatorSet.gamma
     columns = (values, *correlators[:4], gamma, *state[:4], *moduli, *measures)
-    return list(map(SweepRow._make, np.column_stack(columns).tolist()))
+    return list(map(SweepRow._make, _ROW.iter_unpack(np.column_stack(columns))))
 
 
 def figure_preset(which: str) -> list:
@@ -465,20 +467,17 @@ def _format_block(x) -> str:
 
 
 def emit_csv(rows, sink) -> int:
-    """Write a sequence of rows, each with the 15 fields of a SweepRow, as
+    """Write an iterable of rows, each the 15 real numbers of a SweepRow, as
     CSV with 17 significant digits (lossless float round-trip), each value
     byte for byte as '%.17g' writes it.  Returns the number of characters
     written: the text is ASCII."""
-    if not rows:
+    try:
+        x = np.frombuffer(b"".join(starmap(_ROW.pack, rows)))
+    except (struct.error, TypeError):
+        raise ValueError(f"each row must have {len(SweepRow._fields)} real-number fields") from None
+    if not x.size:
         raise ValueError("no rows to emit")
-    width = len(SweepRow._fields)
-    # length_hint is 0 for an item without a length, such as a bare float
-    if set(map(operator.length_hint, rows)) != {width}:
-        raise ValueError(f"each row must have {width} fields")
-    parts = [CSV_HEADER + "\n"]
-    for i in range(0, len(rows), _CSV_BLOCK_ROWS):
-        block = rows[i : i + _CSV_BLOCK_ROWS]
-        parts.append(_format_block(np.fromiter(chain.from_iterable(block), float, width * len(block))))
-    data = "".join(parts)
+    block = _CSV_BLOCK_ROWS * len(SweepRow._fields)
+    data = CSV_HEADER + "\n" + "".join(_format_block(x[i : i + block]) for i in range(0, x.size, block))
     sink.write(data)
     return len(data)

@@ -21,7 +21,7 @@ from udwpair import (
     sweep_engine,
     verify,
 )
-from udwpair.cli import cmd_verify, main
+from udwpair.cli import _join_negative_values, cmd_verify, main
 from udwpair.sweep_engine import FIGURE_PRESETS
 
 _SWEEP = ["sweep", "--vary", "dtau", "--from", "0", "--to", "1", "--steps", "3"]
@@ -84,6 +84,8 @@ def test_point_flags_override_defaults(capsys):
 def test_point_bad_theta_is_usage_error(capsys):
     assert main(["point", "--theta", "9"]) == 2
     assert "theta" in capsys.readouterr().err
+    assert main(["point", "--theta", "abc"]) == 2
+    assert "invalid finite float value: 'abc'" in capsys.readouterr().err
 
 
 def _decay(x):
@@ -166,6 +168,13 @@ def test_config_rejects_malformed_json(tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"error: config {cfg} is not valid JSON: ")
 
 
+def test_config_rejects_json_that_is_not_an_object(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1]")
+    assert main(["point", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: config {cfg} must hold a JSON object\n"
+
+
 def test_config_missing_file(tmp_path):
     assert main(["point", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -188,6 +197,12 @@ def test_sweep_to_file(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) == 6
+
+
+def test_sweep_to_an_unwritable_file_exits_1(tmp_path, capsys):
+    # a directory cannot be opened for writing
+    assert main([*_SWEEP, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path}: ")
 
 
 def test_sweep_missing_required_flag_exits_2(capsys):
@@ -258,6 +273,11 @@ def test_point_scientific_notation_flags(capsys):
     assert payload["correlators"]["kappa"] == row.kappa
 
 
+def test_negative_values_after_a_bare_double_dash_stay_apart():
+    argv = ["point", "--l", "-1e-3", "--", "-1e-3"]
+    assert _join_negative_values(argv) == ["point", "--l=-1e-3", "--", "-1e-3"]
+
+
 def test_point_separable_start_has_no_entanglement(capsys):
     assert main(["point", "--theta", "0", "--lambda", "5"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -300,6 +320,17 @@ def test_figures_unwritable_out_exits_1(tmp_path, capsys):
     rc = main(["figures", "fig4", "--out", str(blocker / "subdir")])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_figures_stops_at_the_first_curve_it_cannot_write(tmp_path, capsys):
+    # the second curve's file name is taken by a directory
+    (tmp_path / "fig1_dtau2.csv").mkdir()
+    assert main(["figures", "fig1", "--out", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"wrote {tmp_path / 'fig1_dtau0.csv'} (")
+    assert err.startswith(f"error: cannot write {tmp_path / 'fig1_dtau2.csv'}: ")
+    assert not (tmp_path / "fig1_dtau4.csv").exists()
 
 
 def test_verify_subcommand(capsys):

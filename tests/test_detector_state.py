@@ -16,6 +16,7 @@ from udwpair import (
     assemble_main,
     detector_pair,
     closed_form_correlators,
+    detector_state,
     f_jklm,
     point_state,
     random_model_params,
@@ -110,6 +111,20 @@ def test_dual_routes_agree():
         appendix = assemble_appendix(InitialState(p.theta), c)
         for name in ("rho11", "rho22", "rho33", "rho44", "rho14", "rho23"):
             assert abs(getattr(main, name) - getattr(appendix, name)) <= 1e-12
+
+
+def test_appendix_population_with_an_imaginary_part_is_rejected(monkeypatch):
+    appendix = detector_state._appendix
+
+    def leaky(*args):
+        r11, r22, *rest = appendix(*args)
+        return (r11, r22 + 1e-6j, *rest)
+
+    monkeypatch.setattr(detector_state, "_appendix", leaky)
+    c = _random_correlators(random.Random(13))
+    message = r"^population rho22 picked up an imaginary part: 1\.000e-06$"
+    with pytest.raises(AssemblyError, match=message):
+        assemble_appendix(InitialState(0.8), c)
 
 
 def test_delta_moves_only_inner_phase():

@@ -88,6 +88,9 @@ def test_spec_validation():
         SweepSpec("l", start=math.inf, stop=1.0, steps=5)
     with pytest.raises(ValueError, match="overflows"):
         SweepSpec("dtau", start=-1e308, stop=1e308, steps=3)
+    # a step count past the float range overflows in its conversion
+    with pytest.raises(ValueError, match="overflows the float range"):
+        SweepSpec("l", steps=10**400)
     for steps in (3.0, 2.5):
         with pytest.raises(ValueError, match="steps must be an integer"):
             SweepSpec("l", start=0.0, stop=1.0, steps=steps)
@@ -256,6 +259,9 @@ def _either_side(x) -> tuple:
 # within 1e-15 of one, closer than the double-double product resolves
 @example([_row(1234567890123456.75, -1234567890123456.75, 1234567890123456.25, -1234567890123456.25)])
 @example([_row(9.168015998995436e38, 6.742080897255841e41, 2.2422607587866907e-07, 4.974148370910348e-09)])
+# ints and numpy reals, which '%.17g' takes as well as floats
+@example([[1] * 15])
+@example([[np.float32(0.1)] * 15])
 # a failing property makes Hypothesis import libcst, which warns
 @pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 def test_csv_equals_the_per_row_format(rows):
@@ -281,11 +287,15 @@ def test_csv_equals_the_per_row_format_across_blocks():
 
 
 def test_csv_requires_rows():
-    with pytest.raises(ValueError):
-        emit_csv([], io.StringIO())
+    for rows in ([], iter([])):
+        with pytest.raises(ValueError, match=r"^no rows to emit$"):
+            emit_csv(rows, io.StringIO())
     row = _row()
-    for rows in ([row[:-1]], [row + [0.0]], [row, row[:-1] + [0.0, 0.0]], row, [None]):
-        with pytest.raises(ValueError, match=r"^each row must have 15 fields$"):
+    malformed = ([row[:-1]], [row + [0.0]], [row, row[:-1] + [0.0, 0.0]], row, [None])
+    # a missing value or a numeric string is not a real number: neither
+    # may reach the CSV as nan or as the number it spells
+    for rows in (*malformed, [[None] * 15], [["1"] * 15]):
+        with pytest.raises(ValueError, match=r"^each row must have 15 real-number fields$"):
             emit_csv(rows, io.StringIO())
 
 
