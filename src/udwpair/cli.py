@@ -10,7 +10,8 @@ Subcommands:
 Exit codes: 0 success; 1 runtime failure (a state could not be built, also
 at a swept grid value outside its knob's range, which the error names; a
 file could not be written; a self-check failed or could not run); 2 usage
-error (bad flags, bad config, bad sweep bounds, a resolved point out of range).
+error (bad flags, an empty --out, bad config, bad sweep bounds, a resolved
+point out of range).
 
 Parameter resolution per knob: specific flag, then generic flag, then
 config file entry (keys named like the flags), then the built-in default.
@@ -62,6 +63,12 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"invalid finite float value: {text!r}")
     return value
+
+
+def _path(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
 
 
 def _load_config(path: str) -> dict:
@@ -125,7 +132,7 @@ def cmd_point(params: ModelParams) -> int:
 
 def _run_and_write(spec: SweepSpec, out: str | None) -> int | None:
     """Run one sweep and write its CSV to the file out, or to stdout when
-    out is empty.  Returns the bytes written, or None once an error is
+    out is None.  Returns the bytes written, or None once an error is
     reported."""
     try:
         rows = run_sweep(spec)
@@ -135,7 +142,7 @@ def _run_and_write(spec: SweepSpec, out: str | None) -> int | None:
     except MemoryError:
         print(f"error: a sweep of {spec.steps} steps does not fit in memory", file=sys.stderr)
         return None
-    if not out:
+    if out is None:
         return emit_csv(rows, sys.stdout)
     try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
@@ -210,11 +217,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--from", dest="start", type=float, required=True, help="grid start")
     p_sweep.add_argument("--to", dest="stop", type=float, required=True, help="grid stop")
     p_sweep.add_argument("--steps", type=int, required=True, help="grid size (at least 2)")
-    p_sweep.add_argument("--out", default=None, help="CSV path (default: stdout)")
+    p_sweep.add_argument("--out", type=_path, default=None, help="CSV path (default: stdout)")
 
     p_fig = sub.add_parser("figures", help="run a preset sweep bundle, one CSV per curve")
     p_fig.add_argument("which", choices=FIGURE_PRESETS, help="preset name")
-    p_fig.add_argument("--out", default=".", help="output directory (default: .)")
+    p_fig.add_argument("--out", type=_path, default=".", help="output directory (default: .)")
 
     p_ver = sub.add_parser("verify", help="run the self-check battery")
     p_ver.add_argument("--seed", type=int, default=0, help="draw seed (default 0)")

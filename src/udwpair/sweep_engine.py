@@ -14,6 +14,7 @@ import functools
 import math
 import operator
 import struct
+from collections.abc import Sequence
 from dataclasses import astuple, dataclass
 from itertools import starmap
 from typing import NamedTuple
@@ -41,6 +42,7 @@ __all__ = [
     "ModelParams",
     "SweepSpec",
     "SweepRow",
+    "SweepRows",
     "SweepError",
     "VARY_CHOICES",
     "CSV_HEADER",
@@ -181,7 +183,33 @@ class SweepRow(NamedTuple):
 
 
 CSV_HEADER = ",".join(("vary", *SweepRow._fields[1:]))
-_ROW = struct.Struct(f"{len(SweepRow._fields)}d")  # a row's layout from the pass to the CSV
+_ROW = struct.Struct(f"{len(SweepRow._fields)}d")  # the one row layout, of SweepRows and of emit_csv
+
+
+class SweepRows(Sequence):
+    """The rows of a sweep, each a SweepRow of Python floats, read from a
+    read-only, C-contiguous (rows, 15) float64 array that emit_csv takes
+    as it is.  A slice is a SweepRows."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array):
+        array = np.ascontiguousarray(array, dtype=float).view()
+        if array.ndim != 2 or array.shape[1] != len(SweepRow._fields):
+            raise ValueError(f"rows must be an array of shape (n, {len(SweepRow._fields)})")
+        array.flags.writeable = False
+        self.array = array
+
+    def __len__(self) -> int:
+        return len(self.array)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return SweepRows(self.array[index])
+        return SweepRow._make(self.array[operator.index(index)].tolist())
+
+    def __iter__(self):
+        return map(SweepRow._make, _ROW.iter_unpack(self.array))
 
 
 def detector_pair(p: ModelParams):
@@ -269,8 +297,9 @@ def evaluate_point(p: ModelParams) -> SweepRow:
     return SweepRow(0.0, *astuple(c)[:4], c.gamma, *state.diagonals(), *moduli, *astuple(measures))
 
 
-def run_sweep(spec: SweepSpec) -> list:
-    """Evaluate the sweep grid in order, as one batch."""
+def run_sweep(spec: SweepSpec) -> SweepRows:
+    """Evaluate the sweep grid in order, as one batch: one row per grid
+    value, viewed over the pass's column stack."""
     span = spec.stop - spec.start
     values = spec.start + span * np.arange(spec.steps) / (spec.steps - 1)
     values[-1] = spec.stop  # exact endpoint regardless of rounding
@@ -281,7 +310,7 @@ def run_sweep(spec: SweepSpec) -> list:
     )
     gamma = correlators[4] + correlators[5]  # as CorrelatorSet.gamma
     columns = (values, *correlators[:4], gamma, *state[:4], *moduli, *measures)
-    return list(map(SweepRow._make, _ROW.iter_unpack(np.column_stack(columns))))
+    return SweepRows(np.column_stack(columns))
 
 
 def figure_preset(which: str) -> list:
@@ -467,14 +496,18 @@ def _format_block(x) -> str:
 
 
 def emit_csv(rows, sink) -> int:
-    """Write an iterable of rows, each the 15 real numbers of a SweepRow, as
-    CSV with 17 significant digits (lossless float round-trip), each value
-    byte for byte as '%.17g' writes it.  Returns the number of characters
-    written: the text is ASCII."""
-    try:
-        x = np.frombuffer(b"".join(starmap(_ROW.pack, rows)))
-    except (struct.error, TypeError):
-        raise ValueError(f"each row must have {len(SweepRow._fields)} real-number fields") from None
+    """Write SweepRows, or an iterable of rows each the 15 real numbers of a
+    SweepRow, as CSV with 17 significant digits (lossless float
+    round-trip), each value byte for byte as '%.17g' writes it.  Returns
+    the number of characters written: the text is ASCII."""
+    if isinstance(rows, SweepRows):
+        x = rows.array.reshape(-1)
+    else:
+        try:
+            x = np.frombuffer(b"".join(starmap(_ROW.pack, rows)))
+        except (struct.error, TypeError):
+            fields = len(SweepRow._fields)
+            raise ValueError(f"each row must have {fields} real-number fields") from None
     if not x.size:
         raise ValueError("no rows to emit")
     block = _CSV_BLOCK_ROWS * len(SweepRow._fields)

@@ -205,6 +205,17 @@ def test_sweep_to_an_unwritable_file_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path}: ")
 
 
+def test_sweep_empty_out_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    # an empty path is not stdout: only an absent --out writes there
+    monkeypatch.chdir(tmp_path)
+    for argv in ([*_SWEEP, "--out="], [*_SWEEP, "--out", ""]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --out: must not be empty" in captured.err
+    assert not any(tmp_path.iterdir())
+
+
 def test_sweep_missing_required_flag_exits_2(capsys):
     assert main(["sweep", "--vary", "l"]) == 2
 
@@ -320,6 +331,15 @@ def test_figures_unwritable_out_exits_1(tmp_path, capsys):
     rc = main(["figures", "fig4", "--out", str(blocker / "subdir")])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_figures_empty_out_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["figures", "fig4", "--out", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --out: must not be empty" in captured.err
+    assert not any(tmp_path.iterdir())
 
 
 def test_figures_stops_at_the_first_curve_it_cannot_write(tmp_path, capsys):

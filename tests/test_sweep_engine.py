@@ -13,6 +13,7 @@ from udwpair import (
     ModelParams,
     SweepError,
     SweepRow,
+    SweepRows,
     SweepSpec,
     VARY_CHOICES,
     detector_pair,
@@ -75,6 +76,31 @@ def test_batch_sweep_matches_pointwise():
         for row in rows:
             alone = evaluate_point(replace(spec.fixed, **dict.fromkeys(names, row.value)))
             assert row[1:] == alone[1:]
+
+
+def test_sweep_rows_are_a_read_only_view_of_the_pass():
+    spec = SweepSpec("omega-b", start=0.3, stop=3.7, steps=21)
+    rows = run_sweep(spec)
+    assert isinstance(rows, SweepRows)
+    assert len(rows) == 21 == len(rows.array)
+    listed = list(rows)
+    assert rows[0] == listed[0] == rows[-21] and rows[0].value == 0.3
+    assert rows[-1] == listed[-1] == rows[20] and rows[-1].value == 3.7
+    with pytest.raises(IndexError):
+        rows[21]
+    part = rows[2:19:3]
+    assert isinstance(part, SweepRows)
+    assert list(part) == listed[2:19:3] == [rows[i] for i in range(2, 19, 3)]
+    # rows of Python floats, each equal to its point evaluated alone
+    for row in listed:
+        assert type(row) is SweepRow and all(type(v) is float for v in row)
+        assert row[1:] == evaluate_point(replace(spec.fixed, gap_b=row.value))[1:]
+    for view in (rows, part):
+        with pytest.raises(ValueError, match="read-only"):
+            view.array[0, 0] = 1.0
+    # only whole rows reach the kernel
+    with pytest.raises(ValueError, match=r"^rows must be an array of shape \(n, 15\)$"):
+        SweepRows(rows.array[:, 1:])
 
 
 def test_spec_validation():
@@ -284,6 +310,43 @@ def test_csv_equals_the_per_row_format_across_blocks():
         row[i % len(row)] = spelled[i % len(spelled)]
         dense.append(row)
     assert _emitted(dense) == _oracle_csv(dense)
+
+
+# bounds inside each swept knob's range, past the presets' spans
+_VARY_BOUNDS = {
+    "l": (0.0, 100.0),
+    "dtau": (-100.0, 100.0),
+    "lambda": (0.0, 12.0),
+    "omega-b": (0.0, 10.0),
+}
+
+
+@st.composite
+def _sweep_specs(draw):
+    vary = draw(st.sampled_from(VARY_CHOICES))
+    low, high = _VARY_BOUNDS[vary]
+    start = draw(st.floats(low, high, exclude_max=True))
+    stop = draw(st.floats(start, high, exclude_min=True))
+    return SweepSpec(vary, start=start, stop=stop, steps=draw(st.integers(2, 300)))
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    phases=[Phase.explicit, Phase.generate],
+)
+@given(_sweep_specs())
+# two blocks and one row more; and gamma = 2e300, which no block certifies
+@example(SweepSpec("lambda", start=0.0, stop=12.0, steps=2 * sweep_engine._CSV_BLOCK_ROWS + 1))
+@example(SweepSpec("l", ModelParams(tau_a0=1e300), start=0.1, stop=10.0, steps=300))
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+def test_sweep_rows_emit_as_their_tuples(spec):
+    # the view's array goes to the kernel as it is, the tuples through _ROW
+    rows = run_sweep(spec)
+    tuples = [tuple(row) for row in rows]
+    assert _emitted(rows) == _emitted(tuples) == _oracle_csv(tuples)
 
 
 def test_csv_requires_rows():
