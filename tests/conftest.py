@@ -3,13 +3,18 @@
 dawson_reference is the extended-precision series oracle the double
 evaluator is judged against: a plain Maclaurin sum run at enough digits
 that the catastrophic cancellation at large argument is absorbed by the
-working precision instead of the result.
+working precision instead of the result.  oracle_csv is the per-row
+'%.17g' format that emit_csv's array kernel replaced: the reference its
+text must equal byte for byte.
 """
 
+import io
 import random
 
 import mpmath
 import pytest
+
+from udwpair import CSV_HEADER, SweepRow, emit_csv
 
 
 def dawson_reference(x: float) -> float:
@@ -33,6 +38,21 @@ def dawson_reference(x: float) -> float:
             total += term
             k += 1
         return float(total)
+
+
+_ORACLE_ROW = ",".join(["%.17g"] * len(SweepRow._fields))
+
+
+def oracle_csv(rows) -> str:
+    return "\n".join([CSV_HEADER, *(_ORACLE_ROW % tuple(row) for row in rows)]) + "\n"
+
+
+def emitted(rows) -> str:
+    """emit_csv's text, checked against the size it returns."""
+    sink = io.StringIO()
+    size = emit_csv(rows, sink)
+    assert size == len(sink.getvalue())
+    return sink.getvalue()
 
 
 @pytest.fixture(scope="session")

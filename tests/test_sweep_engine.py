@@ -23,6 +23,9 @@ from udwpair import (
     run_sweep,
     sweep_engine,
 )
+from udwpair._csv import _CSV_BLOCK_ROWS
+
+from conftest import emitted, oracle_csv
 
 
 def test_detector_pair_timing():
@@ -99,8 +102,16 @@ def test_sweep_rows_are_a_read_only_view_of_the_pass():
         with pytest.raises(ValueError, match="read-only"):
             view.array[0, 0] = 1.0
     # only whole rows reach the kernel
-    with pytest.raises(ValueError, match=r"^rows must be an array of shape \(n, 15\)$"):
+    with pytest.raises(ValueError, match=r"^each row must have 15 real-number fields$"):
         SweepRows(rows.array[:, 1:])
+    # a bool, int or float array of whole rows is taken as it is, and any
+    # other rows of real numbers, an object array of floats too, are packed
+    ones = np.ones((2, 15))
+    for same in (ones.astype(bool), ones.astype(int), np.asfortranarray(ones), ones.astype(object)):
+        assert np.array_equal(SweepRows(same).array, ones)
+    for same in (ones.tolist(), iter(ones), [SweepRow(*row) for row in ones.tolist()]):
+        view = SweepRows(same).array
+        assert np.array_equal(view, ones) and view.flags.c_contiguous and not view.flags.writeable
 
 
 def test_spec_validation():
@@ -156,22 +167,6 @@ _REFERENCE = os.path.join(
 )
 
 
-# The per-row format that emit_csv's array kernel replaced: the reference
-# its text must equal byte for byte.
-_ORACLE_ROW = ",".join(["%.17g"] * len(SweepRow._fields))
-
-
-def _oracle_csv(rows) -> str:
-    return "\n".join([CSV_HEADER, *(_ORACLE_ROW % tuple(row) for row in rows)]) + "\n"
-
-
-def _emitted(rows) -> str:
-    sink = io.StringIO()
-    size = emit_csv(rows, sink)
-    assert size == len(sink.getvalue())
-    return sink.getvalue()
-
-
 def test_preset_csvs_match_the_stored_reference():
     # every preset curve through run_sweep and emit_csv, against the
     # reference values that the benchmark checks each figures run by, and
@@ -182,8 +177,8 @@ def test_preset_csvs_match_the_stored_reference():
     for preset in ("fig1", "fig2", "fig3-top", "fig3-bottom", "fig4"):
         for spec in figure_preset(preset):
             rows = run_sweep(spec)
-            text = _emitted(rows)
-            assert text == _oracle_csv(rows), spec.label
+            text = emitted(rows)
+            assert text == oracle_csv(rows), spec.label
             header, *lines = text.splitlines()
             assert header == str(reference["header"])
             values = np.array([[float(v) for v in line.split(",")] for line in lines])
@@ -254,64 +249,6 @@ def test_csv_header_and_roundtrip():
         assert tuple(parsed) == row  # 17 digits round-trip losslessly
 
 
-def _row(*values) -> list:
-    # a whole CSV row: the values, then zeros
-    return [*values, *[0.0] * (len(SweepRow._fields) - len(values))]
-
-
-def _either_side(x) -> tuple:
-    return math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)
-
-
-@settings(
-    max_examples=300,
-    deadline=None,
-    derandomize=True,
-    database=None,
-    phases=[Phase.explicit, Phase.generate],
-)
-@given(
-    st.lists(
-        st.lists(st.floats(), min_size=len(SweepRow._fields), max_size=len(SweepRow._fields)),
-        min_size=1,
-        max_size=3,
-    )
-)
-@example([_row(0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308)])
-@example([_row(*_either_side(1e-280), *_either_side(1e280), *_either_side(-1e-280))])
-# the %g switches to and from e notation, and a carry into an 18th digit
-@example([_row(9.9999999999999995e-05, 1e-4, 1e16, 1e17, 99999999999999999.0)])
-# exact ties of the 17th digit, which %g rounds half to even, and near ties
-# within 1e-15 of one, closer than the double-double product resolves
-@example([_row(1234567890123456.75, -1234567890123456.75, 1234567890123456.25, -1234567890123456.25)])
-@example([_row(9.168015998995436e38, 6.742080897255841e41, 2.2422607587866907e-07, 4.974148370910348e-09)])
-# ints and numpy reals, which '%.17g' takes as well as floats
-@example([[1] * 15])
-@example([[np.float32(0.1)] * 15])
-# a failing property makes Hypothesis import libcst, which warns
-@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
-def test_csv_equals_the_per_row_format(rows):
-    # nan, infinities and subnormals included: the kernel leaves what it
-    # cannot certify to '%.17g'
-    assert _emitted(rows) == _oracle_csv(rows)
-
-
-def test_csv_equals_the_per_row_format_across_blocks():
-    # two blocks and one row more, so the kernel's block seams are crossed
-    steps = 2 * sweep_engine._CSV_BLOCK_ROWS + 1
-    rows = run_sweep(SweepSpec("dtau", start=-10.0, stop=10.0, steps=steps))
-    assert _emitted(rows) == _oracle_csv(rows)
-    # one value per row that the kernel leaves to '%.17g', moving from
-    # column to column, among values that it writes itself
-    dense = []
-    for i in range(steps):
-        row = [(i + 1) / 7.0 * 10.0 ** (j - 7) for j in range(len(SweepRow._fields))]
-        spelled = (math.nan, math.inf, -math.inf, 5e-324, 1e300 * (i + 1), 9.168015998995436e38)
-        row[i % len(row)] = spelled[i % len(spelled)]
-        dense.append(row)
-    assert _emitted(dense) == _oracle_csv(dense)
-
-
 # bounds inside each swept knob's range, past the presets' spans
 _VARY_BOUNDS = {
     "l": (0.0, 100.0),
@@ -339,25 +276,29 @@ def _sweep_specs(draw):
 )
 @given(_sweep_specs())
 # two blocks and one row more; and gamma = 2e300, which no block certifies
-@example(SweepSpec("lambda", start=0.0, stop=12.0, steps=2 * sweep_engine._CSV_BLOCK_ROWS + 1))
+@example(SweepSpec("lambda", start=0.0, stop=12.0, steps=2 * _CSV_BLOCK_ROWS + 1))
 @example(SweepSpec("l", ModelParams(tau_a0=1e300), start=0.1, stop=10.0, steps=300))
 @pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 def test_sweep_rows_emit_as_their_tuples(spec):
     # the view's array goes to the kernel as it is, the tuples through _ROW
     rows = run_sweep(spec)
     tuples = [tuple(row) for row in rows]
-    assert _emitted(rows) == _emitted(tuples) == _oracle_csv(tuples)
+    assert emitted(rows) == emitted(tuples) == oracle_csv(tuples)
 
 
 def test_csv_requires_rows():
     for rows in ([], iter([])):
         with pytest.raises(ValueError, match=r"^no rows to emit$"):
             emit_csv(rows, io.StringIO())
-    row = _row()
+    row = [0.0] * len(SweepRow._fields)
     malformed = ([row[:-1]], [row + [0.0]], [row, row[:-1] + [0.0, 0.0]], row, [None])
+    shapes = (np.zeros(15), np.zeros((2, 14)), np.zeros((2, 16)))
     # a missing value or a numeric string is not a real number: neither
-    # may reach the CSV as nan or as the number it spells
-    for rows in (*malformed, [[None] * 15], [["1"] * 15]):
+    # may reach the rows or the CSV as nan or as the number it spells
+    not_real = ([[None] * 15], [["1"] * 15], np.array([["1"] * 15]), np.array([[None] * 15]))
+    for rows in (*malformed, *shapes, *not_real, np.array([["1"] * 15], dtype=object)):
+        with pytest.raises(ValueError, match=r"^each row must have 15 real-number fields$"):
+            SweepRows(rows)
         with pytest.raises(ValueError, match=r"^each row must have 15 real-number fields$"):
             emit_csv(rows, io.StringIO())
 
