@@ -21,10 +21,10 @@ phase_a - phase_b.  f_j has one exact closed form.  kappa and omega are
 computed two independent ways: closed forms built on the Dawson function,
 and a radial momentum-space quadrature oracle (nested Gauss-Kronrod panels
 of two oscillation periods in k, each integrand evaluated once for the
-value and its error estimate, trig by angle addition per panel and per
-node, sinc by one divide; a rotated contour once the separation or delay
-spans many widths).  The test suite and verify hold the two routes against
-each other to 1e-6 relative.  Both run elementwise over numpy arrays
+value and its error estimate, four node products per draw against one
+envelope table per panel count; a rotated contour once the separation or
+delay spans many widths).  The test suite and verify hold the two routes
+against each other to 1e-6 relative.  Both run elementwise over numpy arrays
 (the sweeps evaluate whole grids at once, verify whole batches of
 draws); the public functions evaluate one detector pair.
 
@@ -282,36 +282,53 @@ def _panels(sep, delay):
     return np.maximum(oscillation, _ENVELOPE_PANELS)
 
 
+@functools.cache
+def _envelope(n):
+    """Read-only w W exp(-k^2 / 2) at k = (p + x) w, w = 9.1 / n, W the Gauss
+    then the Kronrod weights: rows [panel p, rule], a column per node."""
+    x, weights = _gauss_kronrod(_NODES)
+    w = _KMAX_OVER_SIGMA / n
+    k = (np.arange(n)[:, None] + x) * w
+    table = (w * weights.T * np.exp(-0.5 * k * k)[:, None]).reshape(2 * n, x.size)
+    table.flags.writeable = False
+    return table
+
+
 def _kspace(sep, delay):
-    """[I_kappa, I_omega] and their error estimates, over 1-D arrays of L
-    and dt in widths, k in inverse widths: Gauss-Kronrod panels on
-    [0, 9.1], every draw's panels laid end to end in one array.  A node
-    k = left + offset takes the sin and cos of k dt and k L by angle
-    addition, from those of left dt and left L, once per panel, and of
-    offset dt and offset L, once per draw and node, gathered to the panels
-    by each product that uses them."""
+    """[[I_kappa, I_omega], their error estimates] over 1-D arrays of L and
+    dt in widths: Gauss-Kronrod panels on k in [0, 9.1].  By angle addition
+    on k = a + t, a the panel's left edge and t the node's offset,
+    k sinc(kL) = s C + c S with s = sin(aL) / L, c = cos(aL), S = sin(tL) / L
+    and C = cos(tL) (s = a, S = t at L = 0), and k dt splits alike.  So a
+    panel sums four node products, [C, S] x [cos, sin](t dt), against its
+    count's _envelope table, rotated by s, c and the trig of a dt.  A count
+    takes one stacked matmul, one product per draw (a wide BLAS product's
+    sums would depend on the batch), with the table on the left so that
+    each product is its draw's [panel, rule] rows of the panel array."""
     panels = _panels(sep, delay).astype(int)
-    starts = np.cumsum(panels) - panels
-    owner = np.repeat(np.arange(sep.size), panels)  # the draw of each panel
-    width = _KMAX_OVER_SIGMA / panels  # each draw's panel width
-    left = (np.arange(owner.size) - starts[owner]) * width[owner]
-    l = sep[owner, None]
-    dt_l = np.stack((delay, sep))  # dt and L, a row each
-    left_dt_l = (left * dt_l.take(owner, 1))[..., None]  # left dt and left L, per panel
-    (sin_ld, sin_ll), (cos_ld, cos_ll) = np.sin(left_dt_l), np.cos(left_dt_l)
-    x, w = _gauss_kronrod(_NODES)
-    phase = width[:, None] * x * dt_l[..., None]  # offset dt and offset L, per draw
-    (sin_od, sin_ol), (cos_od, cos_ol) = np.sin(phase), np.cos(phase)
-    k = left[:, None] + width[owner, None] * x
-    damped = k * np.exp(-0.5 * k**2)
-    sin_kl = sin_ll * cos_ol[owner] + cos_ll * sin_ol[owner]
-    radial = damped * np.divide(sin_kl, k * l, out=np.ones_like(k), where=l > 0.0)  # sinc(kL)
-    cos_sum, sin_sum = (radial * cos_od[owner]) @ w, (radial * sin_od[owner]) @ w
-    # sin(left dt) and cos(left dt) are the same at every node of a panel
-    integrals = (sin_ld * cos_sum + cos_ld * sin_sum, cos_ld * cos_sum - sin_ld * sin_sum)
-    # per draw, [Gauss, Kronrod] sums of the two integrals
-    gauss, kronrod = np.add.reduceat(width[owner, None, None] * np.stack(integrals, 1), starts).T
-    return kronrod, np.abs(gauss - kronrod)
+    order = np.argsort(panels, kind="stable")
+    panels, l, dt = panels[order], sep[order, None], delay[order, None]
+    width, starts = _KMAX_OVER_SIGMA / panels, np.cumsum(panels) - panels
+    t = width[:, None] * _gauss_kronrod(_NODES)[0]
+    cos_l, sin_l = np.cos(t * l), np.divide(np.sin(t * l), l, out=t.copy(), where=l > 0.0)
+    cos_dt, sin_dt = np.cos(t * dt), np.sin(t * dt)
+    nodes = np.stack((cos_l * cos_dt, cos_l * sin_dt, sin_l * cos_dt, sin_l * sin_dt), -1)
+    sums = np.empty((panels.sum(), 2, 4))  # per panel, [Gauss, Kronrod] of each product
+    counts, first = np.unique(panels, return_index=True)
+    groups = zip(counts.tolist(), np.split(nodes, first[1:]), np.split(sums, starts[first[1:]]))
+    for n, group, out in groups:
+        np.matmul(_envelope(n), group, out=out.reshape(group.shape[0], 2 * n, 4))
+    owner = np.repeat(np.arange(panels.size), panels)  # the draw of each panel
+    left = ((np.arange(owner.size) - starts[owner]) * width[owner])[:, None]
+    l, dt = l[owner], dt[owner]
+    sin_al = np.divide(np.sin(left * l), l, out=left.copy(), where=l > 0.0)
+    cos_al, sin_ad, cos_ad = np.cos(left * l), np.sin(left * dt), np.cos(left * dt)
+    cos_sum = sin_al * sums[..., 0] + cos_al * sums[..., 2]
+    sin_sum = sin_al * sums[..., 1] + cos_al * sums[..., 3]
+    integrals = (sin_ad * cos_sum + cos_ad * sin_sum, cos_ad * cos_sum - sin_ad * sin_sum)
+    # per draw, [Gauss, Kronrod] sums of the two integrals, then in input order
+    gauss, kronrod = np.add.reduceat(np.stack(integrals, 1), starts).T
+    return np.stack((kronrod, np.abs(gauss - kronrod)))[..., np.argsort(order)]
 
 
 def _sine_transform(a):
@@ -395,6 +412,9 @@ def oracle_correlators(a: DetectorParams, b: DetectorParams, g: PairGeometry) ->
     both routes.  Up to (L + |dt|) / sigma = 256 pi / 9.1, about 88.4,
     kappa and omega are summed in k by 33-node Gauss-Kronrod panels, each
     at most two oscillation periods and two envelope widths 2/sigma wide.
+    Angle addition splits sinc(kL) and the trig of k dt into panel and node
+    factors: a draw's four node products meet a weighted-envelope table per
+    panel count, the left operand of its matmul, whose rows are then panels.
     Past that they move to the rotated contour of _rotated (numerical
     steepest descent, Huybrechs and Vandewalle, SIAM J. Numer. Anal. 44,
     1026, 2006), whose sine transform does not oscillate; its kappa is the

@@ -6,6 +6,8 @@ from dataclasses import astuple
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import Phase, example, given, settings
+from hypothesis import strategies as st
 
 from udwpair import (
     CorrelatorSet,
@@ -20,6 +22,8 @@ from udwpair import (
     random_model_params,
 )
 from udwpair.field_correlators import (
+    _ENVELOPE_PANELS,
+    _KMAX_OVER_SIGMA,
     _MAX_PANELS,
     _PI2,
     _NODES,
@@ -402,6 +406,105 @@ def test_kspace_band_matches_closed_form_integrals():
     origin = (sep == 0.0) & (delay == 0.0)
     assert origin.sum() == 3
     assert np.abs(values[1][origin] - 1.0).max() <= 1e-14
+
+
+def _kspace_nodewise(sep, delay):
+    """The k-space band summed node by node, the kernel that _kspace's
+    per-count tables replaced: every draw's panels laid end to end, each
+    node's k, envelope and sinc(kL) evaluated where it is used, and the
+    sin and cos of k dt and k L by angle addition from those of the panel's
+    left edge and of the node's offset."""
+    panels = _panels(sep, delay).astype(int)
+    starts = np.cumsum(panels) - panels
+    owner = np.repeat(np.arange(sep.size), panels)  # the draw of each panel
+    width = _KMAX_OVER_SIGMA / panels  # each draw's panel width
+    left = (np.arange(owner.size) - starts[owner]) * width[owner]
+    l = sep[owner, None]
+    dt_l = np.stack((delay, sep))  # dt and L, a row each
+    left_dt_l = (left * dt_l.take(owner, 1))[..., None]  # left dt and left L, per panel
+    (sin_ld, sin_ll), (cos_ld, cos_ll) = np.sin(left_dt_l), np.cos(left_dt_l)
+    x, w = _gauss_kronrod(_NODES)
+    phase = width[:, None] * x * dt_l[..., None]  # offset dt and offset L, per draw
+    (sin_od, sin_ol), (cos_od, cos_ol) = np.sin(phase), np.cos(phase)
+    k = left[:, None] + width[owner, None] * x
+    damped = k * np.exp(-0.5 * k**2)
+    sin_kl = sin_ll * cos_ol[owner] + cos_ll * sin_ol[owner]
+    radial = damped * np.divide(sin_kl, k * l, out=np.ones_like(k), where=l > 0.0)  # sinc(kL)
+    cos_sum, sin_sum = (radial * cos_od[owner]) @ w, (radial * sin_od[owner]) @ w
+    integrals = (sin_ld * cos_sum + cos_ld * sin_sum, cos_ld * cos_sum - sin_ld * sin_sum)
+    gauss, kronrod = np.add.reduceat(width[owner, None, None] * np.stack(integrals, 1), starts).T
+    return kronrod, np.abs(gauss - kronrod)
+
+
+# the span L + |dt| in widths that one more panel covers
+_PANEL_SPAN = 4.0 * math.pi / _KMAX_OVER_SIGMA
+
+
+def _span(n, u):
+    # L + |dt| at the share u of the spans that take n panels
+    low = 0.0 if n == _ENVELOPE_PANELS else (n - 1) * _PANEL_SPAN
+    return low + u * (n * _PANEL_SPAN - low)
+
+
+# per panel count from 5 to 64: where in the count's spans the draw sits,
+# the share of its span that is L, and the sign of the delay; not a share
+# that makes L subnormal, where the node-wise sinc(kL) divides 0 by 0
+_BAND = st.lists(
+    st.tuples(st.floats(0.01, 0.99), st.floats(1e-300, 1.0), st.sampled_from([-1.0, 1.0])),
+    min_size=60,
+    max_size=60,
+)
+
+
+@settings(
+    max_examples=30,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    phases=[Phase.explicit, Phase.generate],
+)
+@given(_BAND)
+@example([(0.5, 0.5, 1.0)] * 60)
+# a failing property makes Hypothesis import libcst, which warns
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+def test_kspace_equals_its_nodewise_sums(draws):
+    # every panel count of the band, each at a drawn L and dt and again at
+    # L = 0, L = 1e-3 and dt = 0 with the same span and sign; the per-count
+    # tables sum in another order, so the values agree to rounding
+    rows = []
+    for n, (u, share, sign) in enumerate(draws, start=5):
+        span = _span(n, u)
+        rows += [(share * span, sign * (1.0 - share) * span), (0.0, sign * span)]
+        rows += [(1e-3, sign * (span - 1e-3)), (span, 0.0)]
+    sep, delay = map(np.array, zip(*rows))
+    assert set(_panels(sep, delay).tolist()) == set(range(5, _MAX_PANELS + 1))
+    values, err = _kspace(sep, delay)
+    ref, ref_err = _kspace_nodewise(sep, delay)
+    assert np.abs(values - ref).max() <= 1e-15
+    assert err.max() <= 1e-14 and ref_err.max() <= 1e-14
+
+
+def test_kspace_draws_equal_their_batches_of_one():
+    # a drawn L and dt for every panel count from 5 to 65, and the same
+    # span at L = 0 and at dt = 0, in shuffled order: the draws are sorted
+    # by count and each count takes one matmul, and a draw's sums may
+    # depend neither on its place nor on how many draws share its count
+    rng = random.Random(27)
+    rows = []
+    for n in range(5, _MAX_PANELS + 2):
+        span = _span(n, rng.uniform(0.01, 0.99))
+        share, sign = rng.random(), rng.choice((-1.0, 1.0))
+        rows += [(share * span, sign * (1.0 - share) * span), (0.0, sign * span), (span, 0.0)]
+    rows += [(0.0, 0.0), (1e-3, 0.0)]
+    rng.shuffle(rows)
+    sep, delay = map(np.array, zip(*rows))
+    assert set(_panels(sep, delay).tolist()) == set(range(5, _MAX_PANELS + 2))
+    batch = _kspace(sep, delay)
+    backward = _kspace(sep[::-1], delay[::-1])[..., ::-1]
+    assert batch.tobytes() == backward.tobytes()
+    for i in range(sep.size):
+        one = _kspace(sep[i : i + 1], delay[i : i + 1])
+        assert batch[..., i].tobytes() == one[..., 0].tobytes()
 
 
 def test_oracle_takes_the_decay_factor_once_per_width():
