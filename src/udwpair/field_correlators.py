@@ -21,12 +21,13 @@ phase_a - phase_b.  f_j has one exact closed form.  kappa and omega are
 computed two independent ways: closed forms built on the Dawson function,
 and a radial momentum-space quadrature oracle (nested Gauss-Kronrod panels
 of two oscillation periods in k, each integrand evaluated once for the
-value and its error estimate, four node products per draw against one
-envelope table per panel count; a rotated contour once the separation or
-delay spans many widths).  The test suite and verify hold the two routes
-against each other to 1e-6 relative.  Both run elementwise over numpy arrays
-(the sweeps evaluate whole grids at once, verify whole batches of
-draws); the public functions evaluate one detector pair.
+value and its error estimate, nodes paired about panel midpoints against
+per-count tables of envelope pair sums and differences; a rotated contour,
+built in place, once the separation or delay spans many widths).  The test
+suite and verify hold the two routes against each other to 1e-6 relative.
+Both run elementwise over numpy arrays (the sweeps evaluate whole grids at
+once, verify whole batches of draws); the public functions evaluate one
+detector pair.
 
 Conventions: the smearing profile F(x) = (sqrt(pi) sigma)^(-3) exp(-x^2/sigma^2)
 transforms to F~(k) = (2 pi)^(-3/2) exp(-sigma^2 k^2 / 4) (symmetric Fourier
@@ -206,11 +207,11 @@ def _omega_small_l(cprod, sep, delay):
 
 def _omega(cprod, sep, delay):
     # Below separation = 1e-4 widths the direct form divides a vanishing
-    # numerator by L (0/0 at coincidence); the series limit replaces it
-    # there, evaluated on those rows alone.
+    # numerator by L (0/0 at coincidence, an overflow at subnormal L); the
+    # series limit replaces it there, evaluated on those rows alone.
     args = np.broadcast_arrays(cprod, sep, delay)
     small = args[1] < _SMALL_L_FRACTION
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         out = _omega_direct(*args)
     if small.any():
         out[small] = _omega_small_l(*(v[small] for v in args))
@@ -283,49 +284,66 @@ def _panels(sep, delay):
 
 
 @functools.cache
-def _envelope(n):
-    """Read-only w W exp(-k^2 / 2) at k = (p + x) w, w = 9.1 / n, W the Gauss
-    then the Kronrod weights: rows [panel p, rule], a column per node."""
+def _mirror_pairs():
+    """(h, W): the 33 nodes as 17 pairs 1/2 -+ h, the midpoint last at h = 0,
+    each from one h as the rule's nodes mirror only to rounding; W is each
+    node's [Gauss, Kronrod] weight, its pair's mean and half the midpoint's."""
     x, weights = _gauss_kronrod(_NODES)
+    order = np.argsort(x)
+    low, high = order[: _NODES + 1], order[: _NODES - 1 : -1]
+    return 0.5 - x[low], (weights[low] + weights[high]) / np.where(low == high, 4.0, 2.0)[:, None]
+
+
+@functools.cache
+def _envelope(n):
+    """Read-only w W (exp(-k+^2 / 2) +- exp(-k-^2 / 2)), k+- = (p + 1/2 +- h) w
+    and w = 9.1 / n, W the pair's Gauss then Kronrod weight: rows [pair sum
+    then difference, panel p, rule], a column per offset h."""
+    h, weights = _mirror_pairs()
     w = _KMAX_OVER_SIGMA / n
-    k = (np.arange(n)[:, None] + x) * w
-    table = (w * weights.T * np.exp(-0.5 * k * k)[:, None]).reshape(2 * n, x.size)
+    k = (np.arange(n)[:, None] + 0.5 + np.stack((h, -h))[:, None]) * w
+    plus, minus = np.exp(-0.5 * k * k)[:, :, None]
+    table = (w * weights.T * np.stack((plus + minus, plus - minus))).reshape(2, 2 * n, h.size)
     table.flags.writeable = False
     return table
 
 
 def _kspace(sep, delay):
     """[[I_kappa, I_omega], their error estimates] over 1-D arrays of L and
-    dt in widths: Gauss-Kronrod panels on k in [0, 9.1].  By angle addition
-    on k = a + t, a the panel's left edge and t the node's offset,
-    k sinc(kL) = s C + c S with s = sin(aL) / L, c = cos(aL), S = sin(tL) / L
-    and C = cos(tL) (s = a, S = t at L = 0), and k dt splits alike.  So a
-    panel sums four node products, [C, S] x [cos, sin](t dt), against its
-    count's _envelope table, rotated by s, c and the trig of a dt.  A count
-    takes one stacked matmul, one product per draw (a wide BLAS product's
-    sums would depend on the batch), with the table on the left so that
-    each product is its draw's [panel, rule] rows of the panel array."""
+    dt in widths: Gauss-Kronrod panels on k in [0, 9.1].  A node k = c +- t
+    pairs about its panel's midpoint c (t = h w, _mirror_pairs): k sinc(kL)
+    = s C +- c' S, s = sin(cL) / L, c' = cos(cL), S = sin(tL) / L, C = cos(tL)
+    (s = c, S = t below the smallest normal L), and k dt splits alike.  Even
+    [C cos, S sin](t dt) meet the count's _envelope pair sums, odd [C sin,
+    S cos](t dt) its differences, then rotated by s, c' and the trig of c dt.
+    A count and parity take one stacked matmul, one product per draw (a wide
+    BLAS product would sum in a batch-dependent order), the table on the
+    left so that each is its draw's [panel, rule] rows of the panel array."""
+    tiny = np.finfo(float).tiny
     panels = _panels(sep, delay).astype(int)
     order = np.argsort(panels, kind="stable")
     panels, l, dt = panels[order], sep[order, None], delay[order, None]
     width, starts = _KMAX_OVER_SIGMA / panels, np.cumsum(panels) - panels
-    t = width[:, None] * _gauss_kronrod(_NODES)[0]
-    cos_l, sin_l = np.cos(t * l), np.divide(np.sin(t * l), l, out=t.copy(), where=l > 0.0)
+    t = width[:, None] * _mirror_pairs()[0]
+    cos_l, sin_l = np.cos(t * l), np.divide(np.sin(t * l), l, out=t.copy(), where=l >= tiny)
     cos_dt, sin_dt = np.cos(t * dt), np.sin(t * dt)
-    nodes = np.stack((cos_l * cos_dt, cos_l * sin_dt, sin_l * cos_dt, sin_l * sin_dt), -1)
-    sums = np.empty((panels.sum(), 2, 4))  # per panel, [Gauss, Kronrod] of each product
+    even = np.stack((cos_l * cos_dt, sin_l * sin_dt), -1)
+    odd = np.stack((cos_l * sin_dt, sin_l * cos_dt), -1)
+    sums = np.empty((2, panels.sum(), 2, 2))  # [even, odd] per panel, [Gauss, Kronrod] of each
     counts, first = np.unique(panels, return_index=True)
-    groups = zip(counts.tolist(), np.split(nodes, first[1:]), np.split(sums, starts[first[1:]]))
-    for n, group, out in groups:
-        np.matmul(_envelope(n), group, out=out.reshape(group.shape[0], 2 * n, 4))
+    edges = [*first.tolist(), panels.size]  # each count's draws, edges[i]:edges[i + 1]
+    for n, a, b in zip(counts.tolist(), edges, edges[1:]):
+        out = sums[:, starts[a] : starts[a] + (b - a) * n]
+        for table, group, part in zip(_envelope(n), (even[a:b], odd[a:b]), out):
+            np.matmul(table, group, out=part.reshape(b - a, 2 * n, 2))
     owner = np.repeat(np.arange(panels.size), panels)  # the draw of each panel
-    left = ((np.arange(owner.size) - starts[owner]) * width[owner])[:, None]
+    centre = ((np.arange(owner.size) - starts[owner] + 0.5) * width[owner])[:, None]
     l, dt = l[owner], dt[owner]
-    sin_al = np.divide(np.sin(left * l), l, out=left.copy(), where=l > 0.0)
-    cos_al, sin_ad, cos_ad = np.cos(left * l), np.sin(left * dt), np.cos(left * dt)
-    cos_sum = sin_al * sums[..., 0] + cos_al * sums[..., 2]
-    sin_sum = sin_al * sums[..., 1] + cos_al * sums[..., 3]
-    integrals = (sin_ad * cos_sum + cos_ad * sin_sum, cos_ad * cos_sum - sin_ad * sin_sum)
+    sin_cl = np.divide(np.sin(centre * l), l, out=centre.copy(), where=l >= tiny)
+    cos_cl, sin_cd, cos_cd = np.cos(centre * l), np.sin(centre * dt), np.cos(centre * dt)
+    cos_sum = sin_cl * sums[0, ..., 0] + cos_cl * sums[1, ..., 1]
+    sin_sum = sin_cl * sums[1, ..., 0] + cos_cl * sums[0, ..., 1]
+    integrals = (sin_cd * cos_sum + cos_cd * sin_sum, cos_cd * cos_sum - sin_cd * sin_sum)
     # per draw, [Gauss, Kronrod] sums of the two integrals, then in input order
     gauss, kronrod = np.add.reduceat(np.stack(integrals, 1), starts).T
     return np.stack((kronrod, np.abs(gauss - kronrod)))[..., np.argsort(order)]
@@ -336,15 +354,22 @@ def _sine_transform(a):
     odd in a, by the Gauss-Kronrod pair on geometric panels: the Gauss
     sum, then the Kronrod sum, along a new first axis.  The integrand is
     below exp(-s |a| / 2), so the range stops at s = _ROTATED_CUT / |a|
-    when that comes first."""
+    when that comes first.  Built in place, with the plain expression's
+    operations in its order, so its sums are that expression's bit for bit."""
     m = np.abs(a)
     with np.errstate(divide="ignore"):
         top = np.minimum(m, _ROTATED_CUT / m)
     edges = top[..., None] * _ROTATED_EDGES
     widths = np.diff(edges)
     x, w = _gauss_kronrod(_NODES)
-    s = edges[..., :-1, None] + widths[..., None] * x
-    total = (np.exp(s * (0.5 * s - m[..., None, None])) @ w * widths[..., None]).sum(axis=-2)
+    # in place, a row of a at a time (_rotated): each new ~100 kB array for
+    # an operation's far draws came from fresh pages, faulted in every call
+    s = np.multiply(widths[..., None], x)
+    s += edges[..., :-1, None]
+    e = np.multiply(s, 0.5)
+    e -= m[..., None, None]
+    e *= s
+    total = (np.exp(e, out=e) @ w * widths[..., None]).sum(axis=-2)
     return np.copysign(np.moveaxis(total, -1, 0), a)
 
 
@@ -360,7 +385,7 @@ def _rotated(sep, delay):
     with np.errstate(all="ignore"):  # L = 0 gives estimates that are not finite
         a = np.stack((sep + delay, sep - delay))
         gauss = math.sqrt(math.pi / 2.0) * np.exp(-0.5 * a * a)
-        sine_g, sine_k = _sine_transform(a)
+        sine_g, sine_k = np.stack([_sine_transform(row) for row in a], 1)
         scale = 0.5 / sep
         values = np.array([gauss[1] - gauss[0], sine_k[0] + sine_k[1]])
         # each transform's rule difference plus one rounding unit, which the
@@ -412,9 +437,9 @@ def oracle_correlators(a: DetectorParams, b: DetectorParams, g: PairGeometry) ->
     both routes.  Up to (L + |dt|) / sigma = 256 pi / 9.1, about 88.4,
     kappa and omega are summed in k by 33-node Gauss-Kronrod panels, each
     at most two oscillation periods and two envelope widths 2/sigma wide.
-    Angle addition splits sinc(kL) and the trig of k dt into panel and node
-    factors: a draw's four node products meet a weighted-envelope table per
-    panel count, the left operand of its matmul, whose rows are then panels.
+    Angle addition about each panel's midpoint splits sinc(kL) and the trig
+    of k dt into panel factors and node products, even or odd in the mirror
+    pairs, which meet tables of envelope pair sums or differences per count.
     Past that they move to the rotated contour of _rotated (numerical
     steepest descent, Huybrechs and Vandewalle, SIAM J. Numer. Anal. 44,
     1026, 2006), whose sine transform does not oscillate; its kappa is the

@@ -27,11 +27,14 @@ from udwpair.field_correlators import (
     _MAX_PANELS,
     _PI2,
     _NODES,
+    _ROTATED_CUT,
+    _ROTATED_EDGES,
     _correlators,
     _decay,
     _gauss_kronrod,
     _kappa,
     _kspace,
+    _mirror_pairs,
     _omega_direct,
     _omega_small_l,
     _oracle,
@@ -232,6 +235,23 @@ def test_coincident_detectors_have_finite_correlators():
     assert _closed(1e-8, 2.0).kappa == pytest.approx(c.kappa, rel=1e-9)
 
 
+def test_subnormal_separations_take_the_oracles_coincident_limits():
+    # below the smallest normal double the products k L underflow, and
+    # sin(kL) / L would divide them by L: the oracle takes the quotients'
+    # L = 0 values instead, on both the node and the panel factors
+    coincident = oracle_correlators(A_UNIT, A_UNIT, PairGeometry(0.0, 2.0))
+    for sep in (5e-324, 1e-310, 1e-300):
+        c = oracle_correlators(A_UNIT, A_UNIT, PairGeometry(sep, 2.0))
+        assert abs(c.kappa - coincident.kappa) <= 3e-15
+        assert abs(c.omega - coincident.omega) <= 3e-15
+
+
+def test_subnormal_separation_closed_form_does_not_warn():
+    # omega's direct form overflows dividing by L = 5e-324 on a row that
+    # its series replaces; the suite turns any escaping warning into an error
+    assert abs(_closed(5e-324, 2.0).omega - _closed(0.0, 2.0).omega) <= 1e-15
+
+
 def test_large_separation_decay():
     # kappa underflows to exactly zero at L = 50 widths; omega follows a
     # power tail -C / (pi^2 (L^2 - dtau^2)) instead of dying
@@ -301,6 +321,25 @@ def test_gauss_kronrod_pair_is_nested_positive_and_exact():
     error = np.abs(moments - exact[:, None]) / np.finfo(float).eps
     assert error[: 2 * n, 0].max() <= 4.0 and error[2 * n, 0] > 1e3
     assert error[:, 1].max() <= 4.0
+
+
+def test_mirror_pairs_mirror_exactly():
+    # the k-space band's 17 offsets h: each pair 1/2 -+ h sums to 1 bit for
+    # bit, and the pairs are the rule's 33 nodes, which mirror only to
+    # rounding.  Both halves of a pair take one weight: the rule's Gauss
+    # weights, which mirror exactly, and the mean of its two Kronrod
+    # weights, which do not; the midpoint's weight is split over its halves
+    h, weights = _mirror_pairs()
+    x, w = _gauss_kronrod(_NODES)
+    assert h.shape == (_NODES + 1,) and (np.diff(h) < 0.0).all() and h[-1] == 0.0
+    assert ((0.5 - h) + (0.5 + h) == 1.0).all()
+    order = np.argsort(x)
+    nodes = np.concatenate((0.5 - h, (0.5 + h)[-2::-1]))
+    assert np.abs(nodes - x[order]).max() <= 8.0 * np.finfo(float).eps
+    per_node = np.concatenate((weights[:-1], 2.0 * weights[-1:], weights[-2::-1]))
+    assert np.array_equal(per_node[:, 0], w[order, 0])
+    mirrored = np.stack((w[order], w[order[::-1]]))
+    assert (mirrored.min(0) <= per_node).all() and (per_node <= mirrored.max(0)).all()
 
 
 def test_kspace_and_rotated_forms_agree_where_both_run():
@@ -533,6 +572,32 @@ def test_oracle_takes_the_decay_factor_once_per_width():
         for i in range(sep.size):
             one = oracle_correlators(a, b, PairGeometry(sep[i].item(), delay[i].item()))
             assert (one.f_a, one.f_b, one.kappa, one.omega) == tuple(v[i] for v in oracle)
+
+
+def _sine_transform_expression(a):
+    """_sine_transform as one expression, every temporary a new array: the
+    reference for its in-place band."""
+    m = np.abs(a)
+    with np.errstate(divide="ignore"):
+        top = np.minimum(m, _ROTATED_CUT / m)
+    edges = top[..., None] * _ROTATED_EDGES
+    widths = np.diff(edges)
+    x, w = _gauss_kronrod(_NODES)
+    s = edges[..., :-1, None] + widths[..., None] * x
+    total = (np.exp(s * (0.5 * s - m[..., None, None])) @ w * widths[..., None]).sum(axis=-2)
+    return np.copysign(np.moveaxis(total, -1, 0), a)
+
+
+def test_rotated_band_in_place_equals_its_expression():
+    # the a = L +- dt of decade draws, both delay signs, with a = +-0 and the
+    # cut's edge; whole and row by row, as _rotated takes it
+    p = _decade_draw(random.Random(28), 300)
+    a = np.stack((p.separation + p.delay, p.separation - p.delay))
+    a[:, :3] = [[0.0, math.sqrt(_ROTATED_CUT), 1e8], [-0.0, -math.sqrt(_ROTATED_CUT), -1e-3]]
+    assert (a > 0.0).any() and (a < 0.0).any()
+    ref = _sine_transform_expression(a)
+    assert np.array_equal(_sine_transform(a), ref)
+    assert np.array_equal(np.stack([_sine_transform(row) for row in a], 1), ref)
 
 
 def test_quadrature_failure_is_reported():
