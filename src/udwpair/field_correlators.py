@@ -68,11 +68,43 @@ _SMALL_L_FRACTION = 1e-4
 _KMAX_OVER_SIGMA = 9.1
 _ENVELOPE_PANELS = math.ceil(_KMAX_OVER_SIGMA / 2.0)
 _MAX_PANELS = 64
-_NODES = 16  # Gauss nodes of the Gauss-Kronrod pair, which adds 17
 _ROTATED_EDGES = np.array([0.0, 1.0 / 27.0, 1.0 / 9.0, 1.0 / 3.0, 1.0])
 _ROTATED_CUT = 80.0
 _QUAD_ERROR_CEILING = 1e-9
 _INTEGRALS = ("commutator", "anticommutator")
+
+# The oracle's nested Gauss-Kronrod pair on [0, 1]: the 16 Gauss-Legendre
+# nodes, then the 17 roots of their Stieltjes polynomial, the Legendre
+# series of degree 17 orthogonal to all lower degrees under the weight P_16
+# (Piessens et al., QUADPACK, 1983).
+# The nodes mirror about 1/2, so the rule is stored as its 17 mirror pairs
+# 1/2 -+ h, h descending to the midpoint's 0, each as [h, Gauss weight,
+# Kronrod weight] of either node of the pair, the Gauss weight 0 at the
+# added nodes.  The Gauss column is exact to degree 31, the Kronrod column
+# to degree 49.  Each value is the correctly rounded double of a 60-digit
+# derivation, which tests/test_field_correlators.py repeats.
+_MIRROR_PAIRS = np.array(
+    [
+        (0.4991196370727223, 0.0, 0.002371388524623659),
+        (0.49470046749582497, 0.013576229705877048, 0.006628965344045579),
+        (0.4857529754846963, 0.0, 0.011249429720024722),
+        (0.4722875115366163, 0.031126761969323947, 0.015630271823690263),
+        (0.45457883350617145, 0.0, 0.019756475601210983),
+        (0.4328156011939159, 0.04757925584124639, 0.023753107988203508),
+        (0.4071201435312222, 0.0, 0.027602816547711087),
+        (0.3777022041775015, 0.06231448562776694, 0.031179403005917428),
+        (0.3448705533408811, 0.0, 0.03443149759576562),
+        (0.3089381222013219, 0.07479799440828837, 0.037384911942799776),
+        (0.27020383817606985, 0.0, 0.04002697063185964),
+        (0.22900838882861368, 0.08457825969750127, 0.04229790189629532),
+        (0.18574189043920813, 0.0, 0.044168751289556364),
+        (0.14080177538962946, 0.09130170752246179, 0.04564601641409583),
+        (0.09458428950904187, 0.0, 0.04671933703046061),
+        (0.04750625491881872, 0.09472530522753425, 0.04736420062361502),
+        (0.0, 0.0, 0.04757710804024915),
+    ]
+)
+_MIRROR_PAIRS.flags.writeable = False
 
 
 class QuadratureError(RuntimeError):
@@ -253,25 +285,16 @@ def closed_form_correlators(
 
 
 @functools.cache
-def _gauss_kronrod(n):
-    """(nodes on [0, 1], weights) of the nested Gauss-Kronrod pair: the n
-    Gauss-Legendre nodes, then the n + 1 roots of the Stieltjes polynomial,
-    the Legendre series of degree n + 1 orthogonal to all lower degrees
-    under the weight P_n.  The weight columns are the n-node Gauss weights
-    (0 at the added nodes) and the Kronrod weights, exact to degree 3n + 1
-    (Piessens et al., QUADPACK, 1983).  Built on first use, so importing
-    udwpair does not load numpy.polynomial."""
-    leg = np.polynomial.legendre
-    gauss, gauss_w = leg.leggauss(n)
-    x, w = leg.leggauss(2 * n)  # exact for the triple products below
-    p = leg.legvander(x, n + 1)
-    triple = (p[:, :-1] * (w * p[:, n])[:, None]).T @ p  # int P_j P_n P_k, j <= n
-    stieltjes = np.append(np.linalg.solve(triple[:, :-1], -triple[:, -1]), 1.0)
-    nodes = np.concatenate((gauss, leg.legroots(stieltjes)))
-    # sum_i w_i P_j(x_i) = int P_j, which is 2 at j = 0 and 0 above
-    kronrod = np.linalg.solve(leg.legvander(nodes, 2 * n).T, np.eye(2 * n + 1)[0] * 2.0)
-    weights = np.column_stack((np.append(gauss_w, np.zeros(n + 1)), kronrod))
-    return 0.5 * (nodes + 1.0), 0.5 * weights
+def _gauss_kronrod():
+    """(nodes on [0, 1], weights) of the nested Gauss-Kronrod pair: the 33
+    nodes 1/2 -+ h of _MIRROR_PAIRS in ascending order, each with its
+    [Gauss, Kronrod] weight, so that nodes and weights mirror exactly.
+    Read-only."""
+    h, weights = _MIRROR_PAIRS[:, 0], _MIRROR_PAIRS[:, 1:]
+    nodes = np.concatenate((0.5 - h, 0.5 + h[-2::-1]))
+    weights = np.concatenate((weights, weights[-2::-1]))
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _panels(sep, delay):
@@ -284,22 +307,12 @@ def _panels(sep, delay):
 
 
 @functools.cache
-def _mirror_pairs():
-    """(h, W): the 33 nodes as 17 pairs 1/2 -+ h, the midpoint last at h = 0,
-    each from one h as the rule's nodes mirror only to rounding; W is each
-    node's [Gauss, Kronrod] weight, its pair's mean and half the midpoint's."""
-    x, weights = _gauss_kronrod(_NODES)
-    order = np.argsort(x)
-    low, high = order[: _NODES + 1], order[: _NODES - 1 : -1]
-    return 0.5 - x[low], (weights[low] + weights[high]) / np.where(low == high, 4.0, 2.0)[:, None]
-
-
-@functools.cache
 def _envelope(n):
     """Read-only w W (exp(-k+^2 / 2) +- exp(-k-^2 / 2)), k+- = (p + 1/2 +- h) w
     and w = 9.1 / n, W the pair's Gauss then Kronrod weight: rows [pair sum
     then difference, panel p, rule], a column per offset h."""
-    h, weights = _mirror_pairs()
+    h, weights = _MIRROR_PAIRS[:, 0], _MIRROR_PAIRS[:, 1:].copy()
+    weights[-1] *= 0.5  # the midpoint's k+ and k- are one node
     w = _KMAX_OVER_SIGMA / n
     k = (np.arange(n)[:, None] + 0.5 + np.stack((h, -h))[:, None]) * w
     plus, minus = np.exp(-0.5 * k * k)[:, :, None]
@@ -311,7 +324,7 @@ def _envelope(n):
 def _kspace(sep, delay):
     """[[I_kappa, I_omega], their error estimates] over 1-D arrays of L and
     dt in widths: Gauss-Kronrod panels on k in [0, 9.1].  A node k = c +- t
-    pairs about its panel's midpoint c (t = h w, _mirror_pairs): k sinc(kL)
+    pairs about its panel's midpoint c (t = h w, _MIRROR_PAIRS): k sinc(kL)
     = s C +- c' S, s = sin(cL) / L, c' = cos(cL), S = sin(tL) / L, C = cos(tL)
     (s = c, S = t below the smallest normal L), and k dt splits alike.  Even
     [C cos, S sin](t dt) meet the count's _envelope pair sums, odd [C sin,
@@ -324,7 +337,7 @@ def _kspace(sep, delay):
     order = np.argsort(panels, kind="stable")
     panels, l, dt = panels[order], sep[order, None], delay[order, None]
     width, starts = _KMAX_OVER_SIGMA / panels, np.cumsum(panels) - panels
-    t = width[:, None] * _mirror_pairs()[0]
+    t = width[:, None] * _MIRROR_PAIRS[:, 0]
     cos_l, sin_l = np.cos(t * l), np.divide(np.sin(t * l), l, out=t.copy(), where=l >= tiny)
     cos_dt, sin_dt = np.cos(t * dt), np.sin(t * dt)
     even = np.stack((cos_l * cos_dt, sin_l * sin_dt), -1)
@@ -361,7 +374,7 @@ def _sine_transform(a):
         top = np.minimum(m, _ROTATED_CUT / m)
     edges = top[..., None] * _ROTATED_EDGES
     widths = np.diff(edges)
-    x, w = _gauss_kronrod(_NODES)
+    x, w = _gauss_kronrod()
     # in place, a row of a at a time (_rotated): each new ~100 kB array for
     # an operation's far draws came from fresh pages, faulted in every call
     s = np.multiply(widths[..., None], x)

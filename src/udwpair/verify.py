@@ -73,11 +73,22 @@ def _bounds(lambda_max, tau_span):
     return bounds + [(-tau_span, tau_span)] if tau_span else bounds
 
 
+def _uniforms(rng: random.Random, count: int):
+    """count successive rng.random() values, and the generator left as
+    they leave it, from one getrandbits block: each value takes two 32-bit
+    words a, b in turn, the block's little-endian words in the order they
+    were generated, and is ((a >> 5) 2^26 + (b >> 6)) 2^-53, as
+    rng.random() computes it."""
+    block = rng.getrandbits(64 * count).to_bytes(8 * count, "little")
+    a, b = np.frombuffer(block, "<u4").reshape(count, 2).T
+    return ((a >> 5) * 67108864.0 + (b >> 6)) * 2.0**-53
+
+
 def _columns(rng: random.Random, n: int, bounds):
     """n draws of rng.uniform over each bound, draw after draw, as one row
     per bound: lo + (hi - lo) * rng.random() is what rng.uniform computes."""
     lo, hi = np.array(bounds).T
-    r = np.fromiter(iter(rng.random, None), float, n * len(bounds)).reshape(n, len(bounds))
+    r = _uniforms(rng, n * len(bounds)).reshape(n, len(bounds))
     return lo[:, None] + (hi - lo)[:, None] * r.T
 
 
@@ -144,8 +155,8 @@ def _trace(diagonals):
 def _check_dawson() -> CheckResult:
     xs = np.array([x for x, _ in _DAWSON_TABLE])
     refs = np.array([ref for _, ref in _DAWSON_TABLE])
-    d = _dawson(xs)
-    worst = _worst([np.abs(d - refs) / refs, np.abs(_dawson(-xs) + d) / refs])
+    d, reflected = _dawson(np.stack((xs, -xs)))
+    worst = _worst([np.abs(d - refs) / refs, np.abs(reflected + d) / refs])
     return CheckResult(
         "dawson-reference",
         worst,

@@ -1,7 +1,8 @@
 """Property tests: every batched oracle kernel equals its public scalar
 view point by point; the runtime views of one point, point_state and
 evaluate_point, equal their rows of a batch; the column drawers equal
-their draws written out point by point, bit for bit, verify's state
+their draws written out point by point, bit for bit, as the bulk
+uniforms under them equal successive rng.random() calls, verify's state
 checks take one column draw right after the correlator draws, and the
 public draw is its one-row view; both correlator kernels keep kappa odd
 and omega even in the delay; the public views are unchanged when
@@ -67,7 +68,7 @@ from udwpair.quantum_measures import (
     _spectrum_closed,
 )
 from udwpair.sweep_engine import ModelParams, _batch_states, _checked_states, _point, _row
-from udwpair.verify import _DECADE_EXPONENTS, _bounds, _decade_draw, _draw
+from udwpair.verify import _DECADE_EXPONENTS, _bounds, _decade_draw, _draw, _uniforms
 
 # Fixed examples, no example database: the same cases on every run, and
 # nothing written next to the checkout.  No shrinking either: a failing
@@ -192,6 +193,20 @@ def _scalar_params(rng, lambda_max=8.0, tau_span=0.0):
     # arithmetic of the rng calls: rng.uniform over each knob's bound
     values = [rng.uniform(lo, hi) for lo, hi in _bounds(lambda_max, tau_span)]
     return ModelParams(*values, *([] if tau_span else [0.0]))
+
+
+@_SETTINGS
+@given(st.integers(0, 2**32 - 1), st.integers(1, 1000))
+@example(0, 1)
+@example(7, 11)
+def test_bulk_uniforms_equal_successive_random_calls(seed, count):
+    # one getrandbits block, read as 32-bit word pairs, gives what count
+    # rng.random() calls give, bit for bit, and leaves the generator where
+    # they leave it
+    bulk_rng, call_rng = random.Random(seed), random.Random(seed)
+    bulk = _uniforms(bulk_rng, count)
+    assert bulk.tobytes() == np.fromiter(iter(call_rng.random, None), float, count).tobytes()
+    assert bulk_rng.getstate() == call_rng.getstate()
 
 
 @_SETTINGS

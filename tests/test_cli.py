@@ -489,10 +489,18 @@ def test_import_leaves_scipy_unloaded():
 
 
 def test_import_leaves_numpy_polynomial_unloaded():
-    # the oracle builds its Gauss-Kronrod pair on first use
-    proc = _fresh_python("-c", "import sys, udwpair; print('numpy.polynomial' in sys.modules)")
+    # the oracle's Gauss-Kronrod pair ships as constants: neither import
+    # nor the oracle's first use, through verify or its public view, loads it
+    proc = _fresh_python(
+        "-c",
+        "import sys, udwpair; loaded = ['numpy.polynomial' in sys.modules]; "
+        "udwpair.run_all(points=1); loaded.append('numpy.polynomial' in sys.modules); "
+        "d = udwpair.DetectorParams(1.0, 1.0); "
+        "udwpair.oracle_correlators(d, d, udwpair.PairGeometry(1e3, 2.0)); "
+        "print(loaded + ['numpy.polynomial' in sys.modules])",
+    )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[False, False, False]"
 
 
 def test_verify_runs_without_scipy():

@@ -25,8 +25,8 @@ from udwpair.field_correlators import (
     _ENVELOPE_PANELS,
     _KMAX_OVER_SIGMA,
     _MAX_PANELS,
+    _MIRROR_PAIRS,
     _PI2,
-    _NODES,
     _ROTATED_CUT,
     _ROTATED_EDGES,
     _correlators,
@@ -34,7 +34,6 @@ from udwpair.field_correlators import (
     _gauss_kronrod,
     _kappa,
     _kspace,
-    _mirror_pairs,
     _omega_direct,
     _omega_small_l,
     _oracle,
@@ -46,6 +45,7 @@ from udwpair.sweep_engine import _row
 from udwpair.verify import _decade_draw
 
 A_UNIT = DetectorParams(1.0, 1.0, 1.0)
+_NODES = 16  # Gauss nodes of the oracle's Gauss-Kronrod pair, which adds 17
 
 # frozen radial-quadrature values (30-digit arithmetic), unit couplings
 KAPPA_L3_DT3 = -0.0105822724945390300982
@@ -301,7 +301,7 @@ def test_decade_draws_match_closed_forms():
 
 
 def test_gauss_kronrod_pair_is_nested_positive_and_exact():
-    x, w = _gauss_kronrod(_NODES)
+    x, w = _gauss_kronrod()
     n = _NODES
     assert x.shape == (2 * n + 1,) and w.shape == (2 * n + 1, 2)
     # the Gauss column weighs exactly the n Gauss-Legendre nodes, and in
@@ -324,22 +324,77 @@ def test_gauss_kronrod_pair_is_nested_positive_and_exact():
 
 
 def test_mirror_pairs_mirror_exactly():
-    # the k-space band's 17 offsets h: each pair 1/2 -+ h sums to 1 bit for
-    # bit, and the pairs are the rule's 33 nodes, which mirror only to
-    # rounding.  Both halves of a pair take one weight: the rule's Gauss
-    # weights, which mirror exactly, and the mean of its two Kronrod
-    # weights, which do not; the midpoint's weight is split over its halves
-    h, weights = _mirror_pairs()
-    x, w = _gauss_kronrod(_NODES)
-    assert h.shape == (_NODES + 1,) and (np.diff(h) < 0.0).all() and h[-1] == 0.0
-    assert ((0.5 - h) + (0.5 + h) == 1.0).all()
-    order = np.argsort(x)
-    nodes = np.concatenate((0.5 - h, (0.5 + h)[-2::-1]))
-    assert np.abs(nodes - x[order]).max() <= 8.0 * np.finfo(float).eps
-    per_node = np.concatenate((weights[:-1], 2.0 * weights[-1:], weights[-2::-1]))
-    assert np.array_equal(per_node[:, 0], w[order, 0])
-    mirrored = np.stack((w[order], w[order[::-1]]))
-    assert (mirrored.min(0) <= per_node).all() and (per_node <= mirrored.max(0)).all()
+    # the 17 offsets h descend to the midpoint's 0, and the 33 nodes
+    # 1/2 -+ h, ascending, mirror bit for bit, as both weight columns do
+    h = _MIRROR_PAIRS[:, 0]
+    assert _MIRROR_PAIRS.shape == (_NODES + 1, 3) and (np.diff(h) < 0.0).all() and h[-1] == 0.0
+    x, w = _gauss_kronrod()
+    assert (np.diff(x) > 0.0).all() and (x + x[::-1] == 1.0).all()
+    assert np.array_equal(w, w[::-1])
+    assert np.array_equal(w[: _NODES + 1], _MIRROR_PAIRS[:, 1:])
+
+
+def _legendre(x, m):
+    # P_0(x) .. P_m(x) by the three-term recurrence
+    p = [mpmath.mpf(1), x]
+    for j in range(1, m):
+        p.append(((2 * j + 1) * x * p[j] - j * p[j - 1]) / (j + 1))
+    return p[: m + 1]
+
+
+def _legendre_rule(n):
+    # the n Gauss-Legendre nodes on [-1, 1], each refined from numpy's by
+    # mpmath's root finder, with their weights 2 / ((1 - x^2) P_n'(x)^2)
+    rule = []
+    for guess in np.polynomial.legendre.leggauss(n)[0]:
+        x = mpmath.findroot(lambda x: _legendre(x, n)[n], mpmath.mpf(guess))
+        p = _legendre(x, n)
+        slope = n * (x * p[n] - p[n - 1]) / (x * x - 1)
+        rule.append((x, 2 / ((1 - x * x) * slope**2)))
+    return rule
+
+
+def _gauss_kronrod_reference(n):
+    """[(x, Gauss weight, Kronrod weight)] on [-1, 1] of the nested pair with
+    n Gauss nodes, n even, in the working precision.  The added nodes are
+    the roots of the Stieltjes polynomial E, the Legendre series of degree
+    n + 1 orthogonal to all lower degrees under the weight P_n, solved from
+    the triple products int P_j P_n P_k, j <= n (a 2n-node Gauss sum, exact
+    to their degree 3n + 1).  E is odd, so its roots are 0 and mirror
+    pairs.  The Kronrod weights then integrate P_0 .. P_2n exactly."""
+    gauss = _legendre_rule(n)
+    triple = mpmath.matrix(n + 1, n + 2)
+    for x, w in _legendre_rule(2 * n):
+        p = _legendre(x, n + 1)
+        for j in range(n + 1):
+            for k in range(n + 2):
+                triple[j, k] += w * p[j] * p[n] * p[k]
+    rhs = -triple[:, n + 1]
+    coefficients = [*mpmath.lu_solve(triple[:, : n + 1], rhs), mpmath.mpf(1)]
+
+    def stieltjes(x):
+        return mpmath.fsum(c * p for c, p in zip(coefficients, _legendre(x, n + 1)))
+
+    guesses = np.sort(np.polynomial.legendre.legroots([float(c) for c in coefficients]))
+    roots = [mpmath.findroot(stieltjes, mpmath.mpf(g)) for g in guesses[n // 2 + 1 :]]
+    nodes = [x for x, _ in gauss] + [-r for r in roots] + [mpmath.mpf(0)] + roots
+    vandermonde = mpmath.matrix([_legendre(x, 2 * n) for x in nodes]).T
+    kronrod = mpmath.lu_solve(vandermonde, mpmath.matrix([2] + [0] * (2 * n)))
+    gauss_w = [w for _, w in gauss] + [mpmath.mpf(0)] * (n + 1)
+    return sorted(zip(nodes, gauss_w, kronrod))
+
+
+def test_mirror_pairs_are_the_correctly_rounded_rule():
+    # each shipped value is the double nearest a 60-digit derivation: on
+    # [0, 1] a node x on [-1, 1] is 1/2 + x/2, so h = -x/2 on the lower
+    # half, and the weights halve; mpmath rounds to nearest
+    with mpmath.workdps(60):
+        rule = _gauss_kronrod_reference(_NODES)
+        lower = [[-x / 2, g / 2, k / 2] for x, g, k in rule[: _NODES + 1]]
+        for (x, _, k), (y, _, m) in zip(rule, rule[::-1]):
+            assert abs(x + y) < mpmath.mpf(10) ** -55 and abs(k - m) < mpmath.mpf(10) ** -55
+        shipped = np.array([[float(v) for v in row] for row in lower])
+    assert np.array_equal(shipped, _MIRROR_PAIRS)
 
 
 def test_kspace_and_rotated_forms_agree_where_both_run():
@@ -462,7 +517,7 @@ def _kspace_nodewise(sep, delay):
     dt_l = np.stack((delay, sep))  # dt and L, a row each
     left_dt_l = (left * dt_l.take(owner, 1))[..., None]  # left dt and left L, per panel
     (sin_ld, sin_ll), (cos_ld, cos_ll) = np.sin(left_dt_l), np.cos(left_dt_l)
-    x, w = _gauss_kronrod(_NODES)
+    x, w = _gauss_kronrod()
     phase = width[:, None] * x * dt_l[..., None]  # offset dt and offset L, per draw
     (sin_od, sin_ol), (cos_od, cos_ol) = np.sin(phase), np.cos(phase)
     k = left[:, None] + width[owner, None] * x
@@ -582,7 +637,7 @@ def _sine_transform_expression(a):
         top = np.minimum(m, _ROTATED_CUT / m)
     edges = top[..., None] * _ROTATED_EDGES
     widths = np.diff(edges)
-    x, w = _gauss_kronrod(_NODES)
+    x, w = _gauss_kronrod()
     s = edges[..., :-1, None] + widths[..., None] * x
     total = (np.exp(s * (0.5 * s - m[..., None, None])) @ w * widths[..., None]).sum(axis=-2)
     return np.copysign(np.moveaxis(total, -1, 0), a)
