@@ -22,9 +22,9 @@ computed two independent ways: closed forms built on the Dawson function,
 and a radial momentum-space quadrature oracle (nested Gauss-Kronrod panels
 of two oscillation periods in k, each integrand evaluated once for the
 value and its error estimate, nodes paired about panel midpoints against
-per-count tables of envelope pair sums and differences; a rotated contour,
-built in place, once the separation or delay spans many widths).  The test
-suite and verify hold the two routes against each other to 1e-6 relative.
+per-count tables of envelope pair sums and differences; a rotated contour
+once the separation or delay spans many widths).  The test suite and
+verify hold the two routes against each other to 1e-6 relative.
 Both run elementwise over numpy arrays (the sweeps evaluate whole grids at
 once, verify whole batches of draws); the public functions evaluate one
 detector pair.
@@ -105,6 +105,11 @@ _MIRROR_PAIRS = np.array(
     ]
 )
 _MIRROR_PAIRS.flags.writeable = False
+# The same rule as its 33 nodes 1/2 -+ h in ascending order, each with its
+# [Gauss, Kronrod] weight, so that nodes and weights mirror exactly.
+_RULE_NODES = np.concatenate((0.5 - _MIRROR_PAIRS[:, 0], 0.5 + _MIRROR_PAIRS[-2::-1, 0]))
+_RULE_WEIGHTS = np.concatenate((_MIRROR_PAIRS[:, 1:], _MIRROR_PAIRS[-2::-1, 1:]))
+_RULE_NODES.flags.writeable = _RULE_WEIGHTS.flags.writeable = False
 
 
 class QuadratureError(RuntimeError):
@@ -284,19 +289,6 @@ def closed_form_correlators(
     return _view(_correlators, a, b, g)
 
 
-@functools.cache
-def _gauss_kronrod():
-    """(nodes on [0, 1], weights) of the nested Gauss-Kronrod pair: the 33
-    nodes 1/2 -+ h of _MIRROR_PAIRS in ascending order, each with its
-    [Gauss, Kronrod] weight, so that nodes and weights mirror exactly.
-    Read-only."""
-    h, weights = _MIRROR_PAIRS[:, 0], _MIRROR_PAIRS[:, 1:]
-    nodes = np.concatenate((0.5 - h, 0.5 + h[-2::-1]))
-    weights = np.concatenate((weights, weights[-2::-1]))
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
-
-
 def _panels(sep, delay):
     # each panel spans at most two periods of the fastest oscillation,
     # k (L + |dt|) = 4 pi, and at most two envelope widths 2: there the
@@ -367,22 +359,15 @@ def _sine_transform(a):
     odd in a, by the Gauss-Kronrod pair on geometric panels: the Gauss
     sum, then the Kronrod sum, along a new first axis.  The integrand is
     below exp(-s |a| / 2), so the range stops at s = _ROTATED_CUT / |a|
-    when that comes first.  Built in place, with the plain expression's
-    operations in its order, so its sums are that expression's bit for bit."""
+    when that comes first."""
     m = np.abs(a)
     with np.errstate(divide="ignore"):
         top = np.minimum(m, _ROTATED_CUT / m)
     edges = top[..., None] * _ROTATED_EDGES
     widths = np.diff(edges)
-    x, w = _gauss_kronrod()
-    # in place, a row of a at a time (_rotated): each new ~100 kB array for
-    # an operation's far draws came from fresh pages, faulted in every call
-    s = np.multiply(widths[..., None], x)
-    s += edges[..., :-1, None]
-    e = np.multiply(s, 0.5)
-    e -= m[..., None, None]
-    e *= s
-    total = (np.exp(e, out=e) @ w * widths[..., None]).sum(axis=-2)
+    s = edges[..., :-1, None] + widths[..., None] * _RULE_NODES
+    sums = np.exp(s * (0.5 * s - m[..., None, None])) @ _RULE_WEIGHTS
+    total = (sums * widths[..., None]).sum(axis=-2)
     return np.copysign(np.moveaxis(total, -1, 0), a)
 
 
@@ -398,6 +383,8 @@ def _rotated(sep, delay):
     with np.errstate(all="ignore"):  # L = 0 gives estimates that are not finite
         a = np.stack((sep + delay, sep - delay))
         gauss = math.sqrt(math.pi / 2.0) * np.exp(-0.5 * a * a)
+        # a row of a at a time: each temporary of a whole batch's far draws,
+        # ~100 kB, came from fresh pages, faulted in on every call
         sine_g, sine_k = np.stack([_sine_transform(row) for row in a], 1)
         scale = 0.5 / sep
         values = np.array([gauss[1] - gauss[0], sine_k[0] + sine_k[1]])

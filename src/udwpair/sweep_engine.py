@@ -300,11 +300,23 @@ def evaluate_point(p: ModelParams) -> SweepRow:
     return SweepRow(0.0, *astuple(c)[:4], c.gamma, *state.diagonals(), *moduli, *astuple(measures))
 
 
+def _empty(size: int) -> np.ndarray:
+    """np.empty(size), with the MemoryError of an array the host cannot
+    allocate also where numpy's size arithmetic refuses the size (a
+    ValueError past 2^60 float64 values), before np.arange can: it gives
+    2^63 - 1 an empty range."""
+    try:
+        return np.empty(size)
+    except ValueError as exc:
+        raise MemoryError(f"cannot allocate {size} values: {exc}") from None
+
+
 def run_sweep(spec: SweepSpec) -> SweepRows:
     """Evaluate the sweep grid in order, as one batch: one row per grid
     value, viewed over the pass's column stack."""
     span = spec.stop - spec.start
-    values = spec.start + span * np.arange(spec.steps) / (spec.steps - 1)
+    values = _empty(spec.steps)
+    values[:] = spec.start + span * np.arange(spec.steps) / (spec.steps - 1)
     values[-1] = spec.stop  # exact endpoint regardless of rounding
     fixed = {k: np.full(spec.steps, v, dtype=float) for k, v in vars(spec.fixed).items()}
     p = ModelParams(**(fixed | dict.fromkeys(KNOBS[spec.vary][0], values)))

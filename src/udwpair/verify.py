@@ -17,7 +17,7 @@ from .detector_state import _appendix, _dense, _modulus
 from .field_correlators import _correlators, _oracle
 from .quantum_measures import _negativity_closed, _negativity_full, _spectrum_closed
 from .special_functions import _dawson
-from .sweep_engine import ModelParams, _batch_states, _row
+from .sweep_engine import ModelParams, _batch_states, _empty, _row
 
 __all__ = ["CheckResult", "random_model_params", "run_all"]
 
@@ -73,15 +73,23 @@ def _bounds(lambda_max, tau_span):
     return bounds + [(-tau_span, tau_span)] if tau_span else bounds
 
 
+# values per getrandbits call, whose bit count CPython takes as a C int
+_UNIFORM_BLOCK = 1 << 24
+
+
 def _uniforms(rng: random.Random, count: int):
     """count successive rng.random() values, and the generator left as
-    they leave it, from one getrandbits block: each value takes two 32-bit
-    words a, b in turn, the block's little-endian words in the order they
-    were generated, and is ((a >> 5) 2^26 + (b >> 6)) 2^-53, as
-    rng.random() computes it."""
-    block = rng.getrandbits(64 * count).to_bytes(8 * count, "little")
-    a, b = np.frombuffer(block, "<u4").reshape(count, 2).T
-    return ((a >> 5) * 67108864.0 + (b >> 6)) * 2.0**-53
+    they leave it, from getrandbits blocks of at most _UNIFORM_BLOCK values:
+    each value takes two 32-bit words a, b in turn, a block's little-endian
+    words in the order they were generated, and is ((a >> 5) 2^26 + (b >> 6))
+    2^-53, as rng.random() computes it."""
+    out = _empty(count)
+    for start in range(0, count, _UNIFORM_BLOCK):
+        n = min(_UNIFORM_BLOCK, count - start)
+        block = rng.getrandbits(64 * n).to_bytes(8 * n, "little")
+        a, b = np.frombuffer(block, "<u4").reshape(n, 2).T
+        out[start : start + n] = ((a >> 5) * 67108864.0 + (b >> 6)) * 2.0**-53
+    return out
 
 
 def _columns(rng: random.Random, n: int, bounds):

@@ -19,6 +19,7 @@ exactly."""
 import math
 import random
 from dataclasses import astuple, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -68,7 +69,14 @@ from udwpair.quantum_measures import (
     _spectrum_closed,
 )
 from udwpair.sweep_engine import ModelParams, _batch_states, _checked_states, _point, _row
-from udwpair.verify import _DECADE_EXPONENTS, _bounds, _decade_draw, _draw, _uniforms
+from udwpair.verify import (
+    _DECADE_EXPONENTS,
+    _UNIFORM_BLOCK,
+    _bounds,
+    _decade_draw,
+    _draw,
+    _uniforms,
+)
 
 # Fixed examples, no example database: the same cases on every run, and
 # nothing written next to the checkout.  No shrinking either: a failing
@@ -196,15 +204,19 @@ def _scalar_params(rng, lambda_max=8.0, tau_span=0.0):
 
 
 @_SETTINGS
-@given(st.integers(0, 2**32 - 1), st.integers(1, 1000))
-@example(0, 1)
-@example(7, 11)
-def test_bulk_uniforms_equal_successive_random_calls(seed, count):
-    # one getrandbits block, read as 32-bit word pairs, gives what count
-    # rng.random() calls give, bit for bit, and leaves the generator where
-    # they leave it
+@given(st.integers(0, 2**32 - 1), st.integers(1, 1000), st.sampled_from([_UNIFORM_BLOCK, 1, 7, 64]))
+@example(0, 1, _UNIFORM_BLOCK)
+@example(7, 11, _UNIFORM_BLOCK)
+@example(7, 11, 4)
+@example(3, 64, 32)
+def test_bulk_uniforms_equal_successive_random_calls(seed, count, block):
+    # getrandbits blocks, read as 32-bit word pairs, give what count
+    # rng.random() calls give, bit for bit, and leave the generator where
+    # they leave it; a small block size puts seams inside the draw, where
+    # the shipped one needs 2^24 values
     bulk_rng, call_rng = random.Random(seed), random.Random(seed)
-    bulk = _uniforms(bulk_rng, count)
+    with mock.patch.object(verify, "_UNIFORM_BLOCK", block):
+        bulk = _uniforms(bulk_rng, count)
     assert bulk.tobytes() == np.fromiter(iter(call_rng.random, None), float, count).tobytes()
     assert bulk_rng.getstate() == call_rng.getstate()
 

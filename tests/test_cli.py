@@ -259,6 +259,18 @@ def test_sweep_that_does_not_fit_in_memory_exits_1(monkeypatch, capsys):
     assert captured.err == "error: a sweep of 100000000000 steps does not fit in memory\n"
 
 
+@pytest.mark.parametrize("steps", ["2305843009213693952", "9223372036854775807", "100000000000000000000"])
+def test_sweep_past_numpys_size_range_exits_1(capsys, steps):
+    # 2^61, 2^63 - 1 and 1e20 steps: numpy refuses each grid by its size
+    # arithmetic (np.arange gives 2^63 - 1 an empty range), so nothing is
+    # allocated, even on a host that overcommits memory
+    argv = ["sweep", "--vary", "l", "--from", "0", "--to", "1", "--steps", steps]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: a sweep of {steps} steps does not fit in memory\n"
+
+
 def test_no_subcommand_exits_2():
     assert main([]) == 2
 
@@ -374,6 +386,17 @@ def test_verify_rejects_non_positive_points(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "points must be at least 1" in captured.err
+
+
+def test_verify_past_numpys_size_range_exits_1(capsys):
+    # 9e20 uniforms: numpy refuses the size by its arithmetic, so nothing
+    # is allocated, and getrandbits never sees a bit count past a C int
+    assert main(["verify", "--points", "100000000000000000000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: verify with 100000000000000000000 draws per check does not fit in memory\n"
+    )
 
 
 def _raising(exc):

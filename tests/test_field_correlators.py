@@ -29,9 +29,11 @@ from udwpair.field_correlators import (
     _PI2,
     _ROTATED_CUT,
     _ROTATED_EDGES,
+    _RULE_NODES,
+    _RULE_WEIGHTS,
     _correlators,
     _decay,
-    _gauss_kronrod,
+    _envelope,
     _kappa,
     _kspace,
     _omega_direct,
@@ -142,17 +144,20 @@ def test_large_time_origin_matches_point_state():
         assert abs(value - ref) <= 1e-6 * max(abs(ref), 1e-3)
 
 
+def _dawson_mp(x):
+    # the Dawson function D(x) = sqrt(pi)/2 exp(-x^2) erfi(x), at mpmath's
+    # working precision
+    return mpmath.sqrt(mpmath.pi) / 2 * mpmath.exp(-x * x) * mpmath.erfi(x)
+
+
 def _omega_reference(sep, delay, sigma):
     """sigma^2 omega at unit coupling product, of the exact input doubles at
     40 digits: the difference of Dawson functions over L."""
     with mpmath.workdps(40):
         l, d = mpmath.mpf(sep) / sigma, mpmath.mpf(delay) / sigma
-
-        def dawson(x):
-            return mpmath.sqrt(mpmath.pi) / 2 * mpmath.exp(-x * x) * mpmath.erfi(x)
-
         rt2 = mpmath.sqrt(2)
-        return float(-(dawson((d + l) / rt2) - dawson((d - l) / rt2)) / (rt2 * mpmath.pi**2 * l))
+        difference = _dawson_mp((d + l) / rt2) - _dawson_mp((d - l) / rt2)
+        return float(-difference / (rt2 * mpmath.pi**2 * l))
 
 
 def test_short_distance_branch_continuity():
@@ -301,7 +306,7 @@ def test_decade_draws_match_closed_forms():
 
 
 def test_gauss_kronrod_pair_is_nested_positive_and_exact():
-    x, w = _gauss_kronrod()
+    x, w = _RULE_NODES, _RULE_WEIGHTS
     n = _NODES
     assert x.shape == (2 * n + 1,) and w.shape == (2 * n + 1, 2)
     # the Gauss column weighs exactly the n Gauss-Legendre nodes, and in
@@ -328,7 +333,7 @@ def test_mirror_pairs_mirror_exactly():
     # 1/2 -+ h, ascending, mirror bit for bit, as both weight columns do
     h = _MIRROR_PAIRS[:, 0]
     assert _MIRROR_PAIRS.shape == (_NODES + 1, 3) and (np.diff(h) < 0.0).all() and h[-1] == 0.0
-    x, w = _gauss_kronrod()
+    x, w = _RULE_NODES, _RULE_WEIGHTS
     assert (np.diff(x) > 0.0).all() and (x + x[::-1] == 1.0).all()
     assert np.array_equal(w, w[::-1])
     assert np.array_equal(w[: _NODES + 1], _MIRROR_PAIRS[:, 1:])
@@ -451,19 +456,15 @@ def _exact_kspace(sep, delay, sigma):
     exp(-x^2) erfi(x), each over 2 l; at l = 0 their limits."""
     with mpmath.workdps(40):
         l, d = mpmath.mpf(sep) / sigma, mpmath.mpf(delay) / sigma
-
-        def dawson(x):
-            return mpmath.sqrt(mpmath.pi) / 2 * mpmath.exp(-x * x) * mpmath.erfi(x)
-
         if l == 0:  # the limits L -> 0 of the quotients below
             x = d / mpmath.sqrt(2)
             kappa = mpmath.sqrt(mpmath.pi / 2) * d * mpmath.exp(-d * d / 2)
-            return [float(kappa), float(1 - 2 * x * dawson(x))]
+            return [float(kappa), float(1 - 2 * x * _dawson_mp(x))]
         kappa = mpmath.sqrt(mpmath.pi / 2) * (
             mpmath.exp(-((d - l) ** 2) / 2) - mpmath.exp(-((d + l) ** 2) / 2)
         )
         rt2 = mpmath.sqrt(2)
-        omega = rt2 * (dawson((d + l) / rt2) - dawson((d - l) / rt2))
+        omega = rt2 * (_dawson_mp((d + l) / rt2) - _dawson_mp((d - l) / rt2))
         return [float(kappa / (2 * l)), float(omega / (2 * l))]
 
 
@@ -517,7 +518,7 @@ def _kspace_nodewise(sep, delay):
     dt_l = np.stack((delay, sep))  # dt and L, a row each
     left_dt_l = (left * dt_l.take(owner, 1))[..., None]  # left dt and left L, per panel
     (sin_ld, sin_ll), (cos_ld, cos_ll) = np.sin(left_dt_l), np.cos(left_dt_l)
-    x, w = _gauss_kronrod()
+    x, w = _RULE_NODES, _RULE_WEIGHTS
     phase = width[:, None] * x * dt_l[..., None]  # offset dt and offset L, per draw
     (sin_od, sin_ol), (cos_od, cos_ol) = np.sin(phase), np.cos(phase)
     k = left[:, None] + width[owner, None] * x
@@ -629,30 +630,21 @@ def test_oracle_takes_the_decay_factor_once_per_width():
             assert (one.f_a, one.f_b, one.kappa, one.omega) == tuple(v[i] for v in oracle)
 
 
-def _sine_transform_expression(a):
-    """_sine_transform as one expression, every temporary a new array: the
-    reference for its in-place band."""
-    m = np.abs(a)
-    with np.errstate(divide="ignore"):
-        top = np.minimum(m, _ROTATED_CUT / m)
-    edges = top[..., None] * _ROTATED_EDGES
-    widths = np.diff(edges)
-    x, w = _gauss_kronrod()
-    s = edges[..., :-1, None] + widths[..., None] * x
-    total = (np.exp(s * (0.5 * s - m[..., None, None])) @ w * widths[..., None]).sum(axis=-2)
-    return np.copysign(np.moveaxis(total, -1, 0), a)
-
-
-def test_rotated_band_in_place_equals_its_expression():
+def test_rotated_band_row_by_row_equals_the_whole_band():
     # the a = L +- dt of decade draws, both delay signs, with a = +-0 and the
-    # cut's edge; whole and row by row, as _rotated takes it
+    # cut's edge: _rotated takes the band a row at a time, which must equal
+    # the whole array's band bit for bit
     p = _decade_draw(random.Random(28), 300)
     a = np.stack((p.separation + p.delay, p.separation - p.delay))
     a[:, :3] = [[0.0, math.sqrt(_ROTATED_CUT), 1e8], [-0.0, -math.sqrt(_ROTATED_CUT), -1e-3]]
     assert (a > 0.0).any() and (a < 0.0).any()
-    ref = _sine_transform_expression(a)
-    assert np.array_equal(_sine_transform(a), ref)
-    assert np.array_equal(np.stack([_sine_transform(row) for row in a], 1), ref)
+    assert np.array_equal(np.stack([_sine_transform(row) for row in a], 1), _sine_transform(a))
+
+
+def test_rule_constants_and_envelope_tables_are_read_only():
+    for table in (_MIRROR_PAIRS, _RULE_NODES, _RULE_WEIGHTS, _envelope(_ENVELOPE_PANELS)):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.0
 
 
 def test_quadrature_failure_is_reported():
