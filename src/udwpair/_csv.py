@@ -13,7 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-_CSV_BLOCK_ROWS = 128  # rows per kernel pass: bounds its transient arrays
+_CSV_BLOCK_ROWS = 512  # rows per kernel pass, a preset curve's 401 in one: bounds its transients
+_PIECE = 16_384  # slot bytes whose NULs go at a time: no block's slots are copied whole
 _K_MAX = 280  # the kernel's decimal exponents k, |k| <= 280
 _SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split of a double into halves
 _TIE = 1e-9  # a digit that rounds this close to a tie is left to '%.17g'
@@ -45,14 +46,14 @@ def _csv_tables() -> _CsvTables:
     The head (bytes 0-19) and the tail (20-39) are each a frame of its 17
     digits at bytes 3-19, four digits a word.  The head keeps the digits
     before the point, the tail those after it, without trailing zeros.
-    Bytes 40-44 hold the exponent and byte 45 the separator.
+    Byte 0 holds the sign, bytes 40-44 the exponent and byte 45 the separator.
 
     hi, lo   10^(16 - k) as the double-double hi + lo
     hi_high  hi's high half in Veltkamp's split
     quads    "0000" to "9999" as words, then each without trailing zeros
-    masks    the bytes of the two frames that print, as 5 uint64 words
-    marks    per point (none, one) within sign (none, "-"): the head bytes
-             that the sign, the point, or "0." and leading zeros take
+    masks    the bytes of the two frames that print, one row per uint32 word
+    marks    per point (none, one): the head bytes that the point, or "0."
+             and leading zeros take, one row per uint64 word
     exps     the exponent's word pair, empty in fixed notation
     """
     ks = range(-_K_MAX, _K_MAX + 1)
@@ -75,8 +76,7 @@ def _csv_tables() -> _CsvTables:
     before = [k + 1 if f and k >= 0 else int(not f) for k, f in zip(ks, fixed)]
     masks = ["\0" * 3 + "\xff" * s + "\0" * 20 + "\xff" * (17 - s) for s in before]
     marks = [
-        sign + ("0." + "0" * (-k - 1) if f and k < 0 else "\0" * (2 + s) + point * (s < 17))
-        for sign in ("\0", "-")
+        "\0" + ("0." + "0" * (-k - 1) if f and k < 0 else "\0" * (2 + s) + point * (s < 17))
         for point in ("", ".")
         for k, f, s in zip(ks, fixed, before)
     ]
@@ -86,8 +86,8 @@ def _csv_tables() -> _CsvTables:
         hi_high,
         np.array(lo),
         quads,
-        _words(masks, 10).view(np.uint64),
-        _words(marks, 6).view(np.uint64),
+        np.ascontiguousarray(_words(masks, 10).T),
+        np.ascontiguousarray(_words(marks, 6).view(np.uint64).T),
         _words(exps, 2).view(np.uint64)[:, 0],
     )
 
@@ -109,17 +109,23 @@ def _decimal(x):
         k[~exact] = 0.0
         row = k.astype(np.intp)
         row += _K_MAX
-        # p + low = a (hi + lo), p the double product and low the rest:
-        # Dekker's two-product of a and hi, with Veltkamp's split of each
-        b = tables.hi[row]
+        # p + low = a (hi + lo), p the double product and low the rest: Dekker's
+        # two-product of a and hi with Veltkamp's split of each, summed in place
+        b_low = tables.hi[row]
         b_high = tables.hi_high[row]
-        b_low = b - b_high
-        p = a * b
-        t = a * _SPLIT
+        p = a * b_low
+        b_low -= b_high
+        t = np.multiply(a, _SPLIT, out=k)
         a_high = t - (t - a)
-        a_low = a - a_high
-        low = a_high * b_high - p + a_high * b_low + a_low * b_high + a_low * b_low + a * tables.lo[row]
-        r = np.rint(low)  # p is a whole number wherever exact holds
+        a_low = np.subtract(a, a_high, out=t)
+        low = a_high * b_high
+        low -= p
+        low += np.multiply(a_high, b_low, out=a_high)
+        low += np.multiply(a_low, b_high, out=b_high)
+        low += np.multiply(a_low, b_low, out=b_low)
+        low += np.multiply(a, np.take(tables.lo, row, out=a_high), out=a)
+        del a_high, b_high, b_low
+        r = np.rint(low, out=t)  # p is a whole number wherever exact holds
         digits = p.astype(np.int64)
         digits += r.astype(np.int64)
         low -= r  # the digits' rounding offset
@@ -129,52 +135,52 @@ def _decimal(x):
     return row, digits, exact
 
 
-def _frames(digits):
-    """Rows of six uint64 words whose first ten uint32 words hold the head
-    and the tail frame of each 17-digit number, unmasked."""
-    quads = _csv_tables().quads
-    out = np.empty((digits.size, 6), np.uint64)
+def _frames(digits, row, out):
+    """Write each 17-digit number's head and tail frame, masked to the bytes
+    that print, into `out`'s first five columns (the last is scratch); uses up digits."""
+    tables = _csv_tables()
     words = out.view(np.uint32)
-    # the tail drops a word's trailing zeros when no nonzero digit follows
-    bare = np.ones(digits.size, bool)
+    spare = out.view(np.int64)[:, 5]  # the exponent's column, written later
+    top = np.empty_like(digits)
+    bare = np.ones(digits.size, bool)  # the tail drops zeros that no nonzero digit follows
     for i in range(4, -1, -1):  # the last word is the lead digit's, "000d"
-        top = digits // 10**4
-        q = digits - top * 10**4
-        digits = top
-        words[:, i] = quads[q]
-        words[:, 5 + i] = quads[q + 10_000 * bare]
-        bare &= q == 0
-    return out
+        np.floor_divide(digits, 10**4, out=top)
+        digits -= np.multiply(top, 10**4, out=spare)  # the word's four digits
+        np.bitwise_and(tables.quads[digits], tables.masks[i][row], out=words[:, i])
+        digits += np.multiply(bare, 10_000, out=spare)  # the tail's form of the word
+        np.bitwise_and(tables.quads[digits], tables.masks[5 + i][row], out=words[:, 5 + i])
+        bare &= digits == 10_000
+        digits, top = top, digits
 
 
-def _format_block(x, width: int) -> str:
-    """'%.17g' % v of every value v of a flat block of whole rows of `width`
-    values, each followed by its separator: "," within a row and "\n" at its
-    end."""
+def _format_block(x, width: int) -> bytearray:
+    """One kernel pass: the 48-byte slots of a flat block of whole rows of
+    `width` values, each slot holding '%.17g' % v of its value v and then
+    its separator ("," within a row and "\n" at its end) between NUL bytes."""
     tables = _csv_tables()
     row, digits, exact = _decimal(x)
     # 0 and the values left to '%.17g' take k = 0 and print as 0, so that
     # no exponent follows the text written over the latter
     row[~exact] = _K_MAX
     digits[~exact] = 0
-    out = _frames(digits)
-    out[:, :5] &= np.take(tables.masks, row, axis=0)
-    # the head takes a point where the tail prints a digit
+    slots = bytearray(48 * x.size)
+    out = np.frombuffer(slots, np.uint64).reshape(-1, 6)
+    _frames(digits, row, out)
     words = out.view(np.uint32)
-    tail = words[:, 5] | words[:, 6]
-    tail |= words[:, 7]
-    tail |= words[:, 8]
-    tail |= words[:, 9]
-    mark = row + (2 * _K_MAX + 1) * ((tail != 0) + 2 * np.signbit(x))
-    out[:, :3] |= np.take(tables.marks, mark, axis=0)
+    # the head takes a point where the tail prints a digit
+    tail = words[:, 5] | words[:, 6] | words[:, 7] | words[:, 8] | words[:, 9]
     out[:, 5] = tables.exps[row]
+    mark = np.add(row, 2 * _K_MAX + 1, out=row, where=tail != 0)
+    for j, marks in enumerate(tables.marks):
+        out[:, j] |= marks[mark]
     text = out.view(np.uint8)
+    np.multiply(np.signbit(x), np.uint8(ord("-")), out=text[:, 0])
     text[:, 45] = ord(",")
     text[width - 1 :: width, 45] = ord("\n")
     # '%.17g' text, at most 24 bytes, fills the two frames it replaces
     spelled = ~exact & (x != 0.0)
     out[spelled, :5] = _words(["%.17g" % v for v in x[spelled].tolist()], 10).view(np.uint64)
-    return out.tobytes().translate(None, b"\0").decode("ascii")
+    return slots
 
 
 def format_rows(array) -> str:
@@ -183,4 +189,6 @@ def format_rows(array) -> str:
     width = array.shape[1]
     x = array.reshape(-1)
     block = _CSV_BLOCK_ROWS * width
-    return "".join(_format_block(x[i : i + block], width) for i in range(0, x.size, block))
+    blocks = (_format_block(x[i : i + block], width) for i in range(0, x.size, block))
+    pieces = (s[j : j + _PIECE] for s in blocks for j in range(0, len(s), _PIECE))
+    return "".join([p.translate(None, b"\0").decode("ascii") for p in pieces])

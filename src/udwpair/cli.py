@@ -256,24 +256,29 @@ def _join_negative_values(argv) -> list:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
-    except SystemExit as exc:
+        try:
+            args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
+            if args.command == "figures":
+                return cmd_figures(args.which, args.out)
+            if args.command == "verify":
+                if args.points is not None and args.points < 1:
+                    raise ValueError(f"points must be at least 1, got {args.points!r}")
+                return cmd_verify(seed=args.seed, points=args.points)
+            params = _resolve_params(args)
+            if args.command == "point":
+                return cmd_point(params)
+            spec = SweepSpec(args.vary, params, start=args.start, stop=args.stop, steps=args.steps)
+            return cmd_sweep(spec, args.out)
+        finally:
+            sys.stdout.flush()  # a reader that has gone fails here, not at exit
+    except SystemExit as exc:  # from argparse: usage errors and --help
         return int(exc.code or 0)
-    try:
-        if args.command == "figures":
-            return cmd_figures(args.which, args.out)
-        if args.command == "verify":
-            if args.points is not None and args.points < 1:
-                raise ValueError(f"points must be at least 1, got {args.points!r}")
-            return cmd_verify(seed=args.seed, points=args.points)
-        params = _resolve_params(args)
-        if args.command == "point":
-            return cmd_point(params)
-        spec = SweepSpec(args.vary, params, start=args.start, stop=args.stop, steps=args.steps)
-        return cmd_sweep(spec, args.out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # stdout's reader has gone: the rest, at exit too, goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

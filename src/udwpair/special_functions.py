@@ -43,9 +43,11 @@ def _sampling(x):
     n0 = 2.0 * np.rint(0.5 * x / _STEP)
     xp = x - n0 * _STEP  # exact, |xp| <= h
     a = np.multiply.outer(2.0 * _STEP * xp, _ODD)
-    n0 = n0[..., None]
-    pairs = (n0 * np.cosh(a) - _ODD * np.sinh(a)) / (n0 * n0 - _ODD_SQUARED)
-    return np.exp(-xp * xp) * (_WEIGHT * pairs).sum(axis=-1)
+    pairs = np.cosh(a)  # the pairs in place, in two (..., 15) arrays
+    pairs *= n0[..., None]
+    pairs -= np.multiply(np.sinh(a, out=a), _ODD, out=a)
+    pairs /= np.subtract((n0 * n0)[..., None], _ODD_SQUARED, out=a)
+    return np.exp(-xp * xp) * np.multiply(pairs, _WEIGHT, out=pairs).sum(axis=-1)
 
 
 def _dawson(x):

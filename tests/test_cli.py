@@ -542,3 +542,61 @@ def test_module_entry_point_runs_with_warnings_as_errors():
     proc = _fresh_python("-W", "error", "-m", "udwpair.cli", "point")
     assert proc.returncode == 0, proc.stderr
     assert set(json.loads(proc.stdout)) == {"correlators", "state", "spectrum", "measures"}
+
+
+def _to_a_closed_stdout(*args, unbuffered: bool):
+    """(exit code, stderr) of `python -m udwpair.cli *args` whose stdout is
+    a pipe that no process reads: its read end is closed before the start.
+    A buffered stdout meets the closed pipe at its flush, an unbuffered one
+    at the first write."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(udwpair.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=src, **({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "udwpair.cli", *args],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write)
+    return proc.returncode, proc.stderr
+
+
+_UNBUFFERED = pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+
+
+@_UNBUFFERED
+def test_point_to_a_closed_stdout_exits_1_without_a_traceback(unbuffered):
+    assert _to_a_closed_stdout("point", unbuffered=unbuffered) == (1, "")
+
+
+@_UNBUFFERED
+def test_sweep_to_a_closed_stdout_exits_1_without_a_traceback(unbuffered):
+    args = ("sweep", "--vary", "l", "--from", "0.1", "--to", "10", "--steps", "5")
+    assert _to_a_closed_stdout(*args, unbuffered=unbuffered) == (1, "")
+
+
+@_UNBUFFERED
+def test_verify_to_a_closed_stdout_exits_1_without_a_traceback(unbuffered):
+    assert _to_a_closed_stdout("verify", "--points", "1", unbuffered=unbuffered) == (1, "")
+
+
+@_UNBUFFERED
+def test_figures_to_a_closed_stdout_exits_1_without_a_traceback(tmp_path, unbuffered):
+    # the CSVs go to files: only the "wrote" lines meet the closed pipe
+    out = tmp_path / "d"
+    assert _to_a_closed_stdout("figures", "fig1", "--out", str(out), unbuffered=unbuffered) == (1, "")
+    assert (out / "fig1_dtau0.csv").is_file()
+
+
+@_UNBUFFERED
+def test_help_to_a_closed_stdout_exits_without_a_traceback(unbuffered):
+    # argparse drops its own write error, so an unbuffered --help exits 0;
+    # a buffered one meets the closed pipe at main's flush and exits 1
+    assert _to_a_closed_stdout("--help", unbuffered=unbuffered) == (0 if unbuffered else 1, "")

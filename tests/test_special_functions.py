@@ -1,10 +1,20 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from udwpair import dawson
-from udwpair.special_functions import _FAR_EDGE, _NEAR_EDGE
+from udwpair import dawson, field_correlators, figure_preset, run_sweep, special_functions
+from udwpair.special_functions import (
+    _FAR_EDGE,
+    _NEAR_EDGE,
+    _ODD,
+    _ODD_SQUARED,
+    _STEP,
+    _WEIGHT,
+    _dawson,
+)
+from udwpair.sweep_engine import FIGURE_PRESETS
 
 from conftest import dawson_reference
 
@@ -104,3 +114,44 @@ def test_nonfinite_rejected():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             dawson(bad)
+
+
+def _sampling_expression(x):
+    """The sampling series as the plain expression that _sampling evaluates
+    in place: the reference its result must equal bit for bit."""
+    n0 = 2.0 * np.rint(0.5 * x / _STEP)
+    xp = x - n0 * _STEP
+    a = np.multiply.outer(2.0 * _STEP * xp, _ODD)
+    n0 = n0[..., None]
+    pairs = (n0 * np.cosh(a) - _ODD * np.sinh(a)) / (n0 * n0 - _ODD_SQUARED)
+    return np.exp(-xp * xp) * (_WEIGHT * pairs).sum(axis=-1)
+
+
+def _preset_arguments():
+    """Every argument array that the runtime hands _dawson on the 14 preset
+    curves, as it hands them."""
+    seen = []
+
+    def record(x):
+        seen.append(np.array(x, dtype=float))
+        return _dawson(x)
+
+    with mock.patch.object(field_correlators, "_dawson", record):
+        for preset in FIGURE_PRESETS:
+            for spec in figure_preset(preset):
+                run_sweep(spec)
+    return seen
+
+
+def test_dawson_equals_its_plain_expression_bit_for_bit():
+    args = _preset_arguments()
+    assert len(args) >= 14 and any(a.shape == (2, 401) for a in args)
+    edges = [math.nextafter(e, d) for e in (_NEAR_EDGE, _FAR_EDGE) for d in (0.0, e, math.inf)]
+    rng = np.random.default_rng(20261022)
+    drawn = 10.0 ** rng.uniform(-6.0, 10.0, size=(3, 1000)) * rng.choice([-1.0, 1.0], size=(3, 1000))
+    args += [np.array(edges + [-e for e in edges] + [0.0, -0.0]), drawn, drawn[0], drawn[0, :1].reshape(())]
+    for x in args:
+        with mock.patch.object(special_functions, "_sampling", _sampling_expression):
+            want = _dawson(x)
+        got = _dawson(x)
+        assert got.shape == want.shape and np.array_equal(got, want)

@@ -2,6 +2,7 @@ import io
 import math
 import os
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from udwpair import (
     run_sweep,
     sweep_engine,
 )
+from udwpair import _csv
 from udwpair._csv import _CSV_BLOCK_ROWS
 
 from conftest import emitted, oracle_csv
@@ -274,16 +276,19 @@ def _sweep_specs(draw):
     database=None,
     phases=[Phase.explicit, Phase.generate],
 )
-@given(_sweep_specs())
-# two blocks and one row more; and gamma = 2e300, which no block certifies
-@example(SweepSpec("lambda", start=0.0, stop=12.0, steps=2 * _CSV_BLOCK_ROWS + 1))
-@example(SweepSpec("l", ModelParams(tau_a0=1e300), start=0.1, stop=10.0, steps=300))
+@given(_sweep_specs(), st.sampled_from((1, 2, 3, 7, 64)))
+# two blocks and one row more at the shipped block size; and gamma = 2e300,
+# which no block certifies
+@example(SweepSpec("lambda", start=0.0, stop=12.0, steps=2 * _CSV_BLOCK_ROWS + 1), _CSV_BLOCK_ROWS)
+@example(SweepSpec("l", ModelParams(tau_a0=1e300), start=0.1, stop=10.0, steps=300), 7)
 @pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
-def test_sweep_rows_emit_as_their_tuples(spec):
-    # the view's array goes to the kernel as it is, the tuples through _ROW
+def test_sweep_rows_emit_as_their_tuples(spec, block_rows):
+    # the view's array goes to the kernel as it is, the tuples through _ROW;
+    # blocks of a few rows, so that 2 to 300 steps cross the block seams
     rows = run_sweep(spec)
     tuples = [tuple(row) for row in rows]
-    assert emitted(rows) == emitted(tuples) == oracle_csv(tuples)
+    with mock.patch.object(_csv, "_CSV_BLOCK_ROWS", block_rows):
+        assert emitted(rows) == emitted(tuples) == oracle_csv(tuples)
 
 
 def test_csv_requires_rows():
