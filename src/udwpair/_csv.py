@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-_CSV_BLOCK_ROWS = 512  # rows per kernel pass, a preset curve's 401 in one: bounds its transients
+_CSV_BLOCK_ROWS = 512  # rows per kernel pass, a preset curve's 401 in one: bounds its transients, 0.9 KiB a row
 _PIECE = 16_384  # slot bytes whose NULs go at a time: no block's slots are copied whole
 _K_MAX = 280  # the kernel's decimal exponents k, |k| <= 280
 _SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split of a double into halves
@@ -42,18 +42,22 @@ def _csv_tables() -> _CsvTables:
     never pay for them.  Row k + 280 of each per-exponent table is for the
     decimal exponent k.
 
-    A value is laid out in 48 bytes, and its NUL bytes are then dropped.
-    The head (bytes 0-19) and the tail (20-39) are each a frame of its 17
-    digits at bytes 3-19, four digits a word.  The head keeps the digits
-    before the point, the tail those after it, without trailing zeros.
-    Byte 0 holds the sign, bytes 40-44 the exponent and byte 45 the separator.
+    A value is laid out in 32 bytes, and its NUL bytes are then dropped.
+    The head (bytes 0-19) and the tail (4-23) are each a frame of its 17
+    digits at bytes 3-19 of the frame, four digits a word, ORed together
+    where they overlap.  The head keeps the s digits before the point, at
+    bytes 3 to 2 + s, the tail those after it, without trailing zeros, from
+    byte 7 + s; the point, or "0." and leading zeros, sit at byte 3 + s or
+    below.  Byte 0 holds the sign, bytes 24-28 the exponent and byte 29 the
+    separator.
 
     hi, lo   10^(16 - k) as the double-double hi + lo
     hi_high  hi's high half in Veltkamp's split
     quads    "0000" to "9999" as words, then each without trailing zeros
-    masks    the bytes of the two frames that print, one row per uint32 word
-    marks    per point (none, one): the head bytes that the point, or "0."
-             and leading zeros take, one row per uint64 word
+    masks    the bytes of the two frames that print, one row per uint32
+             word of each frame, the head's then the tail's
+    marks    per point (none, one): the bytes that the point, or "0." and
+             leading zeros take, one row per uint64 word
     exps     the exponent's word pair, empty in fixed notation
     """
     ks = range(-_K_MAX, _K_MAX + 1)
@@ -110,22 +114,29 @@ def _decimal(x):
         row = k.astype(np.intp)
         row += _K_MAX
         # p + low = a (hi + lo), p the double product and low the rest: Dekker's
-        # two-product of a and hi with Veltkamp's split of each, summed in place
-        b_low = tables.hi[row]
-        b_high = tables.hi_high[row]
-        p = a * b_low
-        b_low -= b_high
+        # two-product of a and hi with Veltkamp's split of each, summed in
+        # place, each factor taken when it is first needed and a again from x
+        # for the last term, so that at most seven arrays of x's size live and
+        # no step leaves a hole under the slots that follow (README, _csv)
+        p = tables.hi[row]
+        p *= a
         t = np.multiply(a, _SPLIT, out=k)
-        a_high = t - (t - a)
+        a_high = np.subtract(t, a)
+        np.subtract(t, a_high, out=a_high)
         a_low = np.subtract(a, a_high, out=t)
+        del a
+        b_high = tables.hi_high[row]
         low = a_high * b_high
         low -= p
+        b_low = tables.hi[row]
+        b_low -= b_high
         low += np.multiply(a_high, b_low, out=a_high)
         low += np.multiply(a_low, b_high, out=b_high)
         low += np.multiply(a_low, b_low, out=b_low)
-        low += np.multiply(a, np.take(tables.lo, row, out=a_high), out=a)
-        del a_high, b_high, b_low
-        r = np.rint(low, out=t)  # p is a whole number wherever exact holds
+        del b_high, b_low
+        low += np.multiply(np.abs(x, out=a_high), tables.lo[row], out=a_high)
+        del a_high
+        r = np.rint(low, out=a_low)  # p is a whole number wherever exact holds
         digits = p.astype(np.int64)
         digits += r.astype(np.int64)
         low -= r  # the digits' rounding offset
@@ -137,24 +148,34 @@ def _decimal(x):
 
 def _frames(digits, row, out):
     """Write each 17-digit number's head and tail frame, masked to the bytes
-    that print, into `out`'s first five columns (the last is scratch); uses up digits."""
+    that print, into `out`'s zeroed first three columns (the last holds each
+    quotient meanwhile); uses up digits.  Returns where a tail prints a digit."""
     tables = _csv_tables()
     words = out.view(np.uint32)
-    spare = out.view(np.int64)[:, 5]  # the exponent's column, written later
-    top = np.empty_like(digits)
+    top = out.view(np.int64)[:, 3]  # the exponent's column, written later
+    scratch = np.empty_like(digits)  # a product, or the words that two gathers give
+    quad, mask = scratch.view(np.uint32).reshape(2, -1)
+    printed = np.zeros(digits.size, bool)
     bare = np.ones(digits.size, bool)  # the tail drops zeros that no nonzero digit follows
     for i in range(4, -1, -1):  # the last word is the lead digit's, "000d"
-        np.floor_divide(digits, 10**4, out=top)
-        digits -= np.multiply(top, 10**4, out=spare)  # the word's four digits
-        np.bitwise_and(tables.quads[digits], tables.masks[i][row], out=words[:, i])
-        digits += np.multiply(bare, 10_000, out=spare)  # the tail's form of the word
-        np.bitwise_and(tables.quads[digits], tables.masks[5 + i][row], out=words[:, 5 + i])
+        top[:] = np.floor_divide(digits, 10**4, out=scratch)
+        digits -= np.multiply(scratch, 10**4, out=scratch)  # the word's four digits
+        # every index is in range: "clip" lets take fill out= without a copy
+        np.take(tables.quads, digits, out=quad, mode="clip")
+        np.bitwise_and(quad, np.take(tables.masks[i], row, out=mask, mode="clip"), out=words[:, i])
+        np.copyto(scratch, bare)
+        digits += np.multiply(scratch, 10_000, out=scratch)  # the tail's form of the word
+        np.take(tables.quads, digits, out=quad, mode="clip")
+        quad &= np.take(tables.masks[5 + i], row, out=mask, mode="clip")
+        words[:, 1 + i] |= quad  # the tail frame starts a word after the head
+        np.logical_or(printed, quad, out=printed)
         bare &= digits == 10_000
-        digits, top = top, digits
+        digits[:] = top
+    return printed
 
 
 def _format_block(x, width: int) -> bytearray:
-    """One kernel pass: the 48-byte slots of a flat block of whole rows of
+    """One kernel pass: the 32-byte slots of a flat block of whole rows of
     `width` values, each slot holding '%.17g' % v of its value v and then
     its separator ("," within a row and "\n" at its end) between NUL bytes."""
     tables = _csv_tables()
@@ -163,23 +184,21 @@ def _format_block(x, width: int) -> bytearray:
     # no exponent follows the text written over the latter
     row[~exact] = _K_MAX
     digits[~exact] = 0
-    slots = bytearray(48 * x.size)
-    out = np.frombuffer(slots, np.uint64).reshape(-1, 6)
-    _frames(digits, row, out)
-    words = out.view(np.uint32)
+    slots = bytearray(32 * x.size)
+    out = np.frombuffer(slots, np.uint64).reshape(-1, 4)
+    tail = _frames(digits, row, out)
+    out[:, 3] = tables.exps[row]
     # the head takes a point where the tail prints a digit
-    tail = words[:, 5] | words[:, 6] | words[:, 7] | words[:, 8] | words[:, 9]
-    out[:, 5] = tables.exps[row]
-    mark = np.add(row, 2 * _K_MAX + 1, out=row, where=tail != 0)
+    mark = np.add(row, 2 * _K_MAX + 1, out=row, where=tail)
     for j, marks in enumerate(tables.marks):
         out[:, j] |= marks[mark]
     text = out.view(np.uint8)
     np.multiply(np.signbit(x), np.uint8(ord("-")), out=text[:, 0])
-    text[:, 45] = ord(",")
-    text[width - 1 :: width, 45] = ord("\n")
-    # '%.17g' text, at most 24 bytes, fills the two frames it replaces
+    text[:, 29] = ord(",")
+    text[width - 1 :: width, 29] = ord("\n")
+    # '%.17g' text, at most 24 bytes, fills the frames it replaces
     spelled = ~exact & (x != 0.0)
-    out[spelled, :5] = _words(["%.17g" % v for v in x[spelled].tolist()], 10).view(np.uint64)
+    out[spelled, :3] = _words(["%.17g" % v for v in x[spelled].tolist()], 6).view(np.uint64)
     return slots
 
 

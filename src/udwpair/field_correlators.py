@@ -217,7 +217,8 @@ def _kappa(cprod, sep, delay):
     with np.errstate(over="ignore"):
         x = -2.0 * np.abs(delay) * sep
         far = np.isinf(x)
-        odd = np.divide(-np.sign(delay), 2.0 * sep, out=0.0 - delay, where=far)
+        odd = np.subtract(0.0, delay, out=np.empty_like(x))  # in x's shape, d broadcast
+        np.divide(-np.sign(delay), 2.0 * sep, out=odd, where=far)
         gauss = np.exp(-0.5 * (np.abs(delay) - sep) ** 2)
     ratio = np.divide(np.expm1(x), x, out=np.ones_like(x), where=(x != 0.0) & ~far)
     pref = cprod / (2.0 * _PI2) * math.sqrt(math.pi / 2.0)
@@ -246,11 +247,11 @@ def _omega(cprod, sep, delay):
     # Below separation = 1e-4 widths the direct form divides a vanishing
     # numerator by L (0/0 at coincidence, an overflow at subnormal L); the
     # series limit replaces it there, evaluated on those rows alone.
-    args = np.broadcast_arrays(cprod, sep, delay)
-    small = args[1] < _SMALL_L_FRACTION
+    small = sep < _SMALL_L_FRACTION
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        out = _omega_direct(*args)
+        out = _omega_direct(cprod, sep, delay)
     if small.any():
+        *args, small = np.broadcast_arrays(cprod, sep, delay, small)
         out[small] = _omega_small_l(*(v[small] for v in args))
     return out
 

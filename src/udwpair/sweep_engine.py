@@ -14,7 +14,7 @@ import math
 import operator
 import struct
 from collections.abc import Sequence
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, replace
 from itertools import starmap
 from typing import NamedTuple
 
@@ -32,6 +32,7 @@ from .detector_state import (
 from .field_correlators import (
     DetectorParams,
     PairGeometry,
+    _batch_of_one,
     _correlators,
     _phases,
     closed_form_correlators,
@@ -110,7 +111,7 @@ class ModelParams:
     """One full parameter point, smearing width fixed at 1.
 
     The batch routes also carry many points in one instance, with every
-    field an array of the same length."""
+    field an array of the batch's length or of one value for all of them."""
 
     theta: float = math.pi / 4.0
     lambda_a: float = 1.0
@@ -238,8 +239,8 @@ def _point(p: ModelParams):
 
 
 def _row(p: ModelParams, i: int) -> ModelParams:
-    # point i of a batch, its knobs Python floats
-    return ModelParams(*(v[i].item() for v in vars(p).values()))
+    # point i of a batch, its knobs Python floats, each broadcast to the batch
+    return ModelParams(*(v[i].item() for v in np.broadcast_arrays(*vars(p).values())))
 
 
 def _params_ok(p: ModelParams, correlators):
@@ -247,11 +248,12 @@ def _params_ok(p: ModelParams, correlators):
     # would raise and _state_ok would not: correlators that are not finite
     # spoil every population, and f <= 1.  nan fails every comparison
     f_a, f_b = correlators[:2]
-    finite = np.isfinite(list(vars(p).values())).all(axis=0)
-    signs = (p.lambda_a >= 0.0) & (p.lambda_b >= 0.0) & (p.eta_a > 0.0) & (p.eta_b > 0.0)
-    signs &= (p.gap_a >= 0.0) & (p.gap_b >= 0.0) & (p.separation >= 0.0)
-    ranges = (p.theta >= 0.0) & (p.theta <= math.pi / 2.0) & (f_a > 0.0) & (f_b > 0.0)
-    return finite & signs & ranges
+    ok = (p.lambda_a >= 0.0) & (p.lambda_b >= 0.0) & (p.eta_a > 0.0) & (p.eta_b > 0.0)
+    ok = ok & (p.gap_a >= 0.0) & (p.gap_b >= 0.0) & (p.separation >= 0.0)
+    ok = ok & (p.theta >= 0.0) & (p.theta <= math.pi / 2.0) & (f_a > 0.0) & (f_b > 0.0)
+    for v in vars(p).values():  # each knob in its own shape, which ok broadcasts
+        ok = ok & np.isfinite(v)
+    return ok
 
 
 def _checked_states(p: ModelParams):
@@ -312,20 +314,25 @@ def _empty(size: int) -> np.ndarray:
 
 
 def run_sweep(spec: SweepSpec) -> SweepRows:
-    """Evaluate the sweep grid in order, as one batch: one row per grid
-    value, viewed over the pass's column stack."""
+    """Evaluate the sweep grid in order, as one batch, each fixed knob a
+    1-element array that the kernels broadcast (what the swept knob does
+    not enter runs once): one row per grid value, viewed over the pass's
+    column stack."""
     span = spec.stop - spec.start
     values = _empty(spec.steps)
     values[:] = spec.start + span * np.arange(spec.steps) / (spec.steps - 1)
     values[-1] = spec.stop  # exact endpoint regardless of rounding
-    fixed = {k: np.full(spec.steps, v, dtype=float) for k, v in vars(spec.fixed).items()}
-    p = ModelParams(**(fixed | dict.fromkeys(KNOBS[spec.vary][0], values)))
+    fixed = ModelParams(*_batch_of_one(*astuple(spec.fixed)))
+    p = replace(fixed, **dict.fromkeys(KNOBS[spec.vary][0], values))
     correlators, state, moduli, _, measures = _batch_states(
         p, lambda i: f"sweep failed at {spec.vary}={float(values[i])!r}"
     )
     gamma = correlators[4] + correlators[5]  # as CorrelatorSet.gamma
     columns = (values, *correlators[:4], gamma, *state[:4], *moduli, *measures)
-    return SweepRows(np.column_stack(columns))
+    array = np.empty((spec.steps, len(columns)))
+    for j, column in enumerate(columns):  # a column of one value broadcasts
+        array[:, j] = column
+    return SweepRows(array)
 
 
 def figure_preset(which: str) -> list:

@@ -29,6 +29,37 @@ def test_failing_fixed_parameter_names_the_first_grid_value():
     )
 
 
+_SPANS = {"l": (0.1, 10.0), "dtau": (-10.0, 10.0), "lambda": (0.0, 12.0), "omega-b": (0.0, 4.0)}
+_NEGATIVE = {"lambda_a": -1.0, "lambda_b": -1.0}
+_NO_WEIGHT = {"eta_a": 0.0, "eta_b": 0.0}
+_HUGE = {"lambda_a": 1e155, "lambda_b": 1e155}
+
+
+@pytest.mark.parametrize(
+    "vary, fixed, message",
+    [
+        ("l", _NEGATIVE, "l=0.1: DetectorParams.coupling must be >= 0, got -1.0"),
+        ("l", _NO_WEIGHT, "l=0.1: DetectorParams.switching_weight must be > 0, got 0.0"),
+        ("l", _HUGE, "l=0.1: CorrelatorSet.kappa must be finite, got -inf"),
+        ("dtau", _NEGATIVE, "dtau=-10.0: DetectorParams.coupling must be >= 0, got -1.0"),
+        ("dtau", _NO_WEIGHT, "dtau=-10.0: DetectorParams.switching_weight must be > 0, got 0.0"),
+        ("dtau", _HUGE, "dtau=-10.0: CorrelatorSet.kappa must be finite, got inf"),
+        ("lambda", _NO_WEIGHT, "lambda=0.0: DetectorParams.switching_weight must be > 0, got 0.0"),
+        ("omega-b", _NEGATIVE, "omega-b=0.0: DetectorParams.coupling must be >= 0, got -1.0"),
+        ("omega-b", _NO_WEIGHT, "omega-b=0.0: DetectorParams.switching_weight must be > 0, got 0.0"),
+        ("omega-b", _HUGE, "omega-b=0.0: CorrelatorSet.kappa must be finite, got -inf"),
+    ],
+)
+def test_a_failing_fixed_knob_names_the_first_grid_value_of_each_sweep(vary, fixed, message):
+    # the fixed knobs reach the batch as 1-element arrays: the replay of the
+    # first point must see them broadcast to the grid, and raise its error
+    start, stop = _SPANS[vary]
+    spec = SweepSpec(vary, fixed=ModelParams(**fixed), start=start, stop=stop, steps=401)
+    with pytest.raises(SweepError) as info:
+        run_sweep(spec)
+    assert str(info.value) == f"sweep failed at {message}"
+
+
 def test_non_finite_state_is_rejected():
     with pytest.raises(AssemblyError, match="element rho11 is not finite: nan"):
         evaluate_point(_OVERFLOW)

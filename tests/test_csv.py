@@ -129,19 +129,24 @@ def _decimal_expression(x):
 
 def _frames_expression(digits, row):
     """The head and the tail frames as whole words, unmasked, then masked in
-    one gather of all ten words of each value's row: the reference of
-    _frames' word by word masks."""
+    one gather of all ten words of each value's row, and the tail ORed in a
+    word after the head: the reference of _frames' six words, written word
+    by word, and of where a tail prints a digit, which it returns."""
     tables = _csv_tables()
-    words = np.empty((digits.size, 10), np.uint32)
+    frames = np.empty((digits.size, 10), np.uint32)
     bare = np.ones(digits.size, bool)
     for i in range(4, -1, -1):
         top = digits // 10**4
         q = digits - top * 10**4
         digits = top
-        words[:, i] = tables.quads[q]
-        words[:, 5 + i] = tables.quads[q + 10_000 * bare]
+        frames[:, i] = tables.quads[q]
+        frames[:, 5 + i] = tables.quads[q + 10_000 * bare]
         bare &= q == 0
-    return words & np.take(tables.masks.T, row, axis=0)
+    frames &= np.take(tables.masks.T, row, axis=0)
+    words = np.zeros((digits.size, 6), np.uint32)
+    words[:, :5] = frames[:, :5]
+    words[:, 1:] |= frames[:, 5:]
+    return words, frames[:, 5:].any(axis=1)
 
 
 def _kernel_inputs():
@@ -165,7 +170,7 @@ def test_decimal_and_frames_equal_their_plain_expressions_bit_for_bit():
         assert all(np.array_equal(g, w) for g, w in zip((row, digits, exact), want))
         row[~exact] = _K_MAX
         digits[~exact] = 0
-        out = np.zeros((x.size, 6), np.uint64)
-        expected = _frames_expression(digits.copy(), row)
-        _frames(digits, row, out)
-        assert np.array_equal(out.view(np.uint32)[:, :10], expected)
+        out = np.zeros((x.size, 4), np.uint64)
+        words, tail = _frames_expression(digits.copy(), row)
+        assert np.array_equal(_frames(digits, row, out), tail)
+        assert np.array_equal(out.view(np.uint32)[:, :6], words)

@@ -291,6 +291,76 @@ def test_sweep_rows_emit_as_their_tuples(spec, block_rows):
         assert emitted(rows) == emitted(tuples) == oracle_csv(tuples)
 
 
+def _full_column_pass(spec):
+    """run_sweep's pass with every fixed knob a full column of np.full, as
+    the sweeps ran before their fixed knobs broadcast: the reference whose
+    rows, or whose error, the broadcast pass must equal bit for bit."""
+    values = spec.start + (spec.stop - spec.start) * np.arange(spec.steps) / (spec.steps - 1)
+    values[-1] = spec.stop
+    fixed = {k: np.full(spec.steps, v, dtype=float) for k, v in vars(spec.fixed).items()}
+    p = ModelParams(**(fixed | dict.fromkeys(sweep_engine.KNOBS[spec.vary][0], values)))
+    correlators, state, moduli, _, measures = sweep_engine._batch_states(
+        p, lambda i: f"sweep failed at {spec.vary}={float(values[i])!r}"
+    )
+    gamma = correlators[4] + correlators[5]
+    return np.column_stack((values, *correlators[:4], gamma, *state[:4], *moduli, *measures))
+
+
+# L and |dt| log-uniform over [1e-6, 1e8] widths, so that the small-L series
+# rows are drawn too, and each of them 0 now and then
+_DECADES = st.floats(-6.0, 8.0).map(lambda e: 10.0**e)
+
+
+@st.composite
+def _broadcast_specs(draw):
+    vary = draw(st.sampled_from(VARY_CHOICES))
+    low, high = _VARY_BOUNDS[vary]
+    start = draw(st.floats(low, high, exclude_max=True))
+    stop = draw(st.floats(start, high, exclude_min=True))
+    fixed = ModelParams(
+        theta=draw(st.one_of(st.sampled_from([0.0, math.pi / 2.0]), st.floats(0.0, math.pi / 2.0))),
+        lambda_a=draw(st.floats(0.0, 12.0)),
+        lambda_b=draw(st.floats(0.0, 12.0)),
+        eta_a=draw(st.floats(0.2, 2.0)),
+        eta_b=draw(st.floats(0.2, 2.0)),
+        gap_a=draw(st.floats(0.0, 4.0)),
+        gap_b=draw(st.floats(0.0, 4.0)),
+        separation=draw(st.one_of(st.just(0.0), _DECADES)),
+        delay=draw(st.one_of(st.just(0.0), _DECADES, _DECADES.map(lambda v: -v))),
+        tau_a0=draw(st.floats(-5.0, 5.0)),
+    )
+    return SweepSpec(vary, fixed, start=start, stop=stop, steps=draw(st.integers(2, 64)))
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    phases=[Phase.explicit, Phase.generate],
+)
+@given(_broadcast_specs())
+# a fixed L on the small-L series while another knob varies, at theta 0 and pi/2
+@example(SweepSpec("lambda", ModelParams(theta=0.0, separation=1e-5), start=0.0, stop=12.0, steps=9))
+@example(SweepSpec("omega-b", ModelParams(theta=math.pi / 2.0, separation=0.0, delay=2.0), start=0.0, stop=4.0, steps=9))
+@example(SweepSpec("dtau", ModelParams(separation=3e-5), start=-1.0, stop=1.0, steps=9))
+# f_a f_b underflows to 0 while cosh(omega) overflows from some coupling on
+@example(SweepSpec("lambda", ModelParams(separation=0.5, delay=0.0), start=60.0, stop=100.0, steps=41))
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+def test_broadcast_fixed_knobs_equal_full_columns_bit_for_bit(spec):
+    # a sweep's fixed knobs are 1-element arrays that the kernels broadcast;
+    # its rows, -0.0 and nan bits too, or its error, must be the ones that
+    # full columns of those knobs give
+    try:
+        want = _full_column_pass(spec)
+    except SweepError as exc:
+        with pytest.raises(SweepError) as info:
+            run_sweep(spec)
+        assert str(info.value) == str(exc)
+    else:
+        assert np.array_equal(run_sweep(spec).array.view(np.uint64), want.view(np.uint64))
+
+
 def test_csv_requires_rows():
     for rows in ([], iter([])):
         with pytest.raises(ValueError, match=r"^no rows to emit$"):
